@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,4 +66,80 @@ func FuzzDecodeProblem(f *testing.F) {
 			t.Fatalf("hash changed across canonical round-trip: %s vs %s", h1, h2)
 		}
 	})
+}
+
+// embeddedKeyBody spells a problem's fields under a "Problem" key, as
+// if the Go struct layout leaked into the format. It must be rejected
+// as an unknown field.
+const embeddedKeyBody = `{"problem":{"version":1,"Problem":{"modules":[{"name":"A","w":4,"h":2}],"objective":{}}},"options":{}}`
+
+// FuzzDecodeRequest fuzzes the request decoder: arbitrary bytes must
+// never panic, a decoded request's canonical encoding must be a fixed
+// point of the decoder, and on decoded (hence normalized) requests the
+// fast cache-key path HashNormalized must agree with Hash. The pinned
+// service requests seed the corpus.
+func FuzzDecodeRequest(f *testing.F) {
+	pins, err := filepath.Glob(filepath.Join("..", "..", "placer", "testdata", "pin_*_request.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range pins {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{
+		``,
+		`{}`,
+		embeddedKeyBody,
+		`{"problem":{"modules":[{"name":"A","w":4,"h":2}],"objective":{}},"options":{"method":"bstar","timeout_ms":5}}`,
+		`{"problem":{"version":1,"modules":[{"name":"A","w":4,"h":2},{"name":"B","w":4,"h":2}],` +
+			`"symmetry":[{"pairs":[[1,0]]}],"nets":[[1,0]],"objective":{"wire_weight":1}},` +
+			`"options":{"workers":2,"temper_chains":3,"exchange_every":2}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeRequest(data) // must not panic, ever
+		if err != nil {
+			return
+		}
+		c1, err := r.Canonical()
+		if err != nil {
+			t.Fatalf("decoded request fails to encode: %v\ninput: %q", err, data)
+		}
+		r2, err := DecodeRequest(c1)
+		if err != nil {
+			t.Fatalf("canonical encoding fails to decode: %v\ncanonical: %s", err, c1)
+		}
+		c2, err := r2.Canonical()
+		if err != nil {
+			t.Fatalf("re-decoded request fails to encode: %v", err)
+		}
+		if !bytes.Equal(c1, c2) {
+			t.Fatalf("canonical encoding not a fixed point:\nfirst:  %s\nsecond: %s", c1, c2)
+		}
+		h, err := r.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hn, err := r.HashNormalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != hn {
+			t.Fatalf("HashNormalized %s disagrees with Hash %s on a decoded request\ninput: %q", hn, h, data)
+		}
+	})
+}
+
+// TestDecodeRejectsEmbeddedKey: the problem's fields are spelled flat
+// on the wire; nesting them under "Problem" is an unknown field.
+func TestDecodeRejectsEmbeddedKey(t *testing.T) {
+	_, err := DecodeRequest([]byte(embeddedKeyBody))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "Problem"`) {
+		t.Fatalf("embedded-key body: err %v, want an unknown-field rejection", err)
+	}
 }
