@@ -186,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			temperChains: *temperChains, temperChainsSet: set["temper-chains"],
 			exchangeEvery: *exchangeEvery, exchangeEverySet: set["exchange-every"],
 			jsonIn: *jsonIn, jsonOut: *jsonOut, jsonReq: *jsonReq, traceOut: *traceOut,
-			objective: wire.Objective{
+			objective: placer.Objective{
 				AreaWeight:    *areaWeight,
 				WireWeight:    *wireWeight,
 				OutlineW:      outlineW,
@@ -305,7 +305,7 @@ type wireArgs struct {
 	jsonOut          string
 	jsonReq          string
 	traceOut         string
-	objective        wire.Objective
+	objective        placer.Objective
 	objectiveSet     bool
 	bench            string
 	verbose          bool
@@ -331,11 +331,7 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		b, err := pickBench(a.bench)
-		if err != nil {
-			return err
-		}
-		p, err := wire.FromBench(b)
+		p, err := placer.Benchmark(a.bench)
 		if err != nil {
 			return err
 		}
@@ -344,10 +340,10 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 		}
 		if a.method == "hbstar" && a.objective.WireWeight == 0 {
 			// Parity with the classic path: hbstar's historical default
-			// wire weight, not the flat placers' 1.0 FromBench encodes.
+			// wire weight, not the flat placers' 1.0 Benchmark encodes.
 			p.Objective.WireWeight = hbstar.DefaultWireWeight
 		}
-		req = &wire.Request{Problem: *p}
+		req = &wire.Request{Problem: wire.Problem{Version: wire.Version, Problem: *p}}
 	}
 	// A file request solves exactly as the daemon would solve the same
 	// bytes — CLI flags only override it when explicitly set. A
@@ -523,7 +519,7 @@ func readInput(path string) ([]byte, error) {
 // applyObjectiveFlags overlays explicitly-set CLI weights on a
 // benchmark-derived objective (zero flag values leave the benchmark's
 // defaults alone, matching the classic path's semantics).
-func applyObjectiveFlags(dst *wire.Objective, flags wire.Objective) {
+func applyObjectiveFlags(dst *placer.Objective, flags placer.Objective) {
 	if flags.AreaWeight > 0 {
 		dst.AreaWeight = flags.AreaWeight
 	}

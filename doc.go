@@ -26,23 +26,24 @@
 //
 // internal/core ties everything together behind one API and hosts the
 // drivers that regenerate each table and figure; the benchmarks in
-// this package (bench_test.go) exercise them. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for measured results.
+// this package (bench_test.go) exercise them. The commands cmd/table1,
+// cmd/fig8, cmd/fig10 and cmd/lemma run the drivers from the command
+// line, and PERFORMANCE.md records measured performance.
 //
 // # The optimization hot path
 //
 // All stochastic placers run on the engines of internal/anneal, which
-// support two protocols. The legacy cloning protocol (anneal.Solution:
-// Cost/Neighbor) copies the whole representation per proposed move.
-// The in-place protocol (anneal.MutableSolution: Perturb returning an
-// exact Undo, plus Snapshot/Restore for the best-so-far) mutates one
-// solution and reverts rejected moves, the move-and-undo scheme of the
-// B*-tree annealing tradition; Anneal and Greedy select it
-// automatically when a solution implements it. All placers do.
+// speak one search protocol, anneal.Solution: Perturb applies a move
+// in place and returns an exact Undo, and Snapshot/Restore keep the
+// best-so-far. Rejected moves are reverted rather than copied away —
+// the move-and-undo scheme of the B*-tree annealing tradition — so a
+// proposed move allocates nothing. The evolutionary engine alone
+// needs independent offspring; it takes an anneal.Mutator, a Solution
+// whose Neighbor returns a mutated copy.
 //
 // # The engine core
 //
-// Every placer reaches those protocols through one shared kernel,
+// Every placer reaches that protocol through one shared kernel,
 // internal/engine — the paper's "one problem, interchangeable
 // representations" structure made literal. A representation (the
 // topology encoding plus its move table) implements
@@ -169,8 +170,8 @@
 //
 // Package repro/placer is the importable front door over all of the
 // above: one canonical placer.Problem (flat view plus optional design
-// hierarchy, losslessly convertible to and from the wire format via
-// wire.Problem.ToCanon and wire.FromCanon), an Engine interface with
+// hierarchy, whose JSON tags are the wire spelling: wire.Problem
+// embeds it behind a format version), an Engine interface with
 // a self-registration registry (placer.Register) behind which all six
 // built-in engines live, and a context-first
 // placer.Solve(ctx, problem, opts...) with functional options —

@@ -4,13 +4,12 @@
 // baseline, the two-phase GA+SA combination of Zhang et al. [28], and
 // parallel multi-start annealing (ParallelAnneal).
 //
-// The engines are representation-agnostic and support two solution
-// protocols. The cloning protocol (Solution) produces a fresh neighbor
-// per proposed move. The in-place protocol (MutableSolution) mutates
-// one solution and reverts rejected moves through exact undo — the
-// move-and-undo scheme of the B*-tree annealing literature — which
-// eliminates per-move allocation; Anneal and Greedy select it
-// automatically when the solution implements it.
+// The engines are representation-agnostic and speak one search
+// protocol (Solution): a solution mutates itself in place and reverts
+// rejected moves through exact undo — the move-and-undo scheme of the
+// B*-tree annealing literature — so a proposed move allocates nothing.
+// Only the evolutionary engine needs independent offspring; it takes a
+// Mutator, a Solution that can also return a mutated copy.
 package anneal
 
 import (
@@ -22,28 +21,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Solution is one point of a search space. Neighbor must return a new
-// Solution (not mutate the receiver), so the engines can keep the
-// incumbent and the best-so-far without explicit undo bookkeeping.
-type Solution interface {
-	// Cost is the objective to minimize.
-	Cost() float64
-	// Neighbor returns a random neighboring solution.
-	Neighbor(rng *rand.Rand) Solution
-}
-
-// Undo reverts the most recent Perturb on a MutableSolution, restoring
-// state and cost exactly.
+// Undo reverts the most recent Perturb, restoring state and cost
+// exactly.
 type Undo func()
 
-// MutableSolution is the in-place counterpart of Solution: a solution
-// that mutates itself under perturbation and can revert exactly,
-// eliminating the clone per proposed move that dominates the cost of a
-// Neighbor-based search. When a Solution passed to Anneal or Greedy
-// also implements MutableSolution, the engines run the move-and-undo
-// protocol of the B*-tree annealing tradition instead of cloning:
-// rejected moves call the returned Undo, accepted moves simply keep
-// the mutation, and the best-so-far is tracked through Snapshot.
+// Solution is one point of a search space, mutated in place: the
+// engines propose a move with Perturb, keep it if accepted, call the
+// returned Undo if rejected, and track the best-so-far through
+// Snapshot.
 //
 // Contract: Perturb applies one random move and returns an Undo that
 // restores both the state and the value reported by Cost exactly (a
@@ -55,15 +40,16 @@ type Undo func()
 // again). The engines mutate the initial solution they are given; the
 // returned best solution is that same value restored to its best
 // state.
-type MutableSolution interface {
+type Solution interface {
+	// Cost is the objective to minimize.
 	Cost() float64
 	Perturb(rng *rand.Rand) Undo
 	Snapshot() any
 	Restore(snapshot any)
 }
 
-// MoveReporter is an optional extension of MutableSolution implemented
-// by solutions with incremental cost models: Moved returns the ids of
+// MoveReporter is an optional extension of Solution implemented by
+// solutions with incremental cost models: Moved returns the ids of
 // the modules whose geometry the last Perturb actually changed (the
 // dirty set the incremental objective reevaluated). The engines never
 // require it; it exists so tests and diagnostics can cross-check
@@ -72,7 +58,7 @@ type MoveReporter interface {
 	Moved() []int
 }
 
-// MoveKindReporter is an optional extension of MutableSolution for
+// MoveKindReporter is an optional extension of Solution for
 // solutions that track per-move-kind proposal/acceptance counters (the
 // engine kernel's adaptive move portfolio). The flight recorder reads
 // the counters at stage boundaries; the engines never require the
@@ -131,25 +117,24 @@ type Options struct {
 	// search: the callback sees a copy.
 	Progress func(Stats)
 	// Checkpoint, when non-nil, receives the best-so-far snapshot
-	// (the same opaque value MutableSolution.Snapshot returns, which
-	// the engine never mutates) every CheckpointEvery stages in which
-	// the best improved, and once more when the run ends — including
-	// a cancelled run, where the final capture is the whole point.
-	// It runs on the annealing goroutine; ParallelAnneal calls it
-	// concurrently from every chain. Only the in-place engine
-	// checkpoints: the cloning protocol has no snapshot to hand out.
+	// (the same opaque value Solution.Snapshot returns, which the
+	// engine never mutates) every CheckpointEvery stages in which the
+	// best improved, and once more when the run ends — including a
+	// cancelled run, where the final capture is the whole point. It
+	// runs on the annealing goroutine; ParallelAnneal calls it
+	// concurrently from every chain.
 	Checkpoint func(snapshot any, cost float64, stage int)
 	// CheckpointEvery is the stage period of Checkpoint captures.
 	// Zero or negative means every 5 stages.
 	CheckpointEvery int
-	// Resume, when non-nil, is consulted once at the start of an
-	// in-place run: if it returns ok, the engine restores the
-	// snapshot — a value a previous run's Checkpoint captured from
-	// the same solution type on the same problem — and anneals from
-	// that state instead of the initial solution, so an interrupted
-	// run's progress is never repeated. The returned best is then
-	// never worse than the checkpoint. ParallelAnneal resumes only
-	// worker 0, keeping the other chains' multi-start diversity.
+	// Resume, when non-nil, is consulted once at the start of a run:
+	// if it returns ok, the engine restores the snapshot — a value a
+	// previous run's Checkpoint captured from the same solution type
+	// on the same problem — and anneals from that state instead of
+	// the initial solution, so an interrupted run's progress is never
+	// repeated. The returned best is then never worse than the
+	// checkpoint. ParallelAnneal resumes only worker 0, keeping the
+	// other chains' multi-start diversity.
 	Resume func() (snapshot any, ok bool)
 	// TemperChains selects parallel tempering (replica exchange):
 	// values above 1 run that many chains at a geometric temperature
@@ -287,79 +272,11 @@ func recordStage(f *obs.Flight, worker int, st *Stats, cur, best float64, kinds 
 	f.Record(e)
 }
 
-// Anneal runs simulated annealing from the initial solution and
-// returns the best solution found with run statistics. If the solution
-// also implements MutableSolution, the engine uses the allocation-free
-// move-and-undo protocol: the initial solution is mutated in place and
-// returned restored to the best state visited.
-func Anneal(initial Solution, opt Options) (Solution, Stats) {
-	if ms, ok := initial.(MutableSolution); ok {
-		best, stats := annealInPlace(ms, opt)
-		return best.(Solution), stats
-	}
-	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-
-	cur := initial
-	curCost := cur.Cost()
-	best, bestCost := cur, curCost
-	stats := Stats{InitCost: curCost}
-
-	temp := opt.InitialTemp
-	if temp <= 0 {
-		temp = calibrate(cur, rng)
-	}
-	minTemp := opt.MinTemp
-	if minTemp <= 0 {
-		minTemp = temp * 1e-3
-	}
-
-	stall := 0
-	for stage := 0; stage < opt.MaxStages && temp > minTemp && stall < opt.StallStages; stage++ {
-		if opt.cancelled() {
-			stats.Cancelled = true
-			break
-		}
-		stats.Stages++
-		improvedThisStage := false
-		for move := 0; move < opt.MovesPerStage; move++ {
-			stats.Moves++
-			next := cur.Neighbor(rng)
-			nextCost := next.Cost()
-			delta := nextCost - curCost
-			if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-				stats.Accepted++
-				if delta < 0 {
-					stats.Improved++
-				}
-				cur, curCost = next, nextCost
-				if curCost < bestCost {
-					best, bestCost = cur, curCost
-					improvedThisStage = true
-				}
-			}
-		}
-		if improvedThisStage {
-			stall = 0
-		} else {
-			stall++
-		}
-		temp *= opt.Cooling
-		stats.FinalTemp = temp
-		opt.report(stats, bestCost)
-		if opt.Flight != nil {
-			recordStage(opt.Flight, opt.chain, &stats, curCost, bestCost, nil)
-		}
-	}
-	stats.BestCost = bestCost
-	return best, stats
-}
-
-// annealInPlace is the move-and-undo engine: one mutating solution,
-// exact undo on rejection, best-so-far tracked by snapshot. It follows
-// the same schedule, RNG discipline and statistics as the cloning
-// engine.
-func annealInPlace(cur MutableSolution, opt Options) (MutableSolution, Stats) {
+// Anneal runs simulated annealing from the initial solution with the
+// allocation-free move-and-undo protocol: the initial solution is
+// mutated in place and returned restored to the best state visited,
+// with run statistics.
+func Anneal(cur Solution, opt Options) (Solution, Stats) {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	kinds, _ := cur.(MoveKindReporter)
@@ -390,7 +307,7 @@ func annealInPlace(cur MutableSolution, opt Options) (MutableSolution, Stats) {
 
 	temp := opt.InitialTemp
 	if temp <= 0 {
-		temp = calibrateInPlace(cur, rng)
+		temp = calibrate(cur, rng)
 		curCost = cur.Cost()
 	}
 	minTemp := opt.MinTemp
@@ -465,36 +382,10 @@ func annealInPlace(cur MutableSolution, opt Options) (MutableSolution, Stats) {
 // the mean uphill delta divided by ln(1/p₀) with p₀ = 0.9, so roughly
 // 90 % of uphill moves are initially accepted. Non-finite deltas
 // (moves into rejected/infeasible states, which placers encode as
-// infinite cost) are excluded from the estimate and from the walk —
-// an infinite temperature would otherwise disable the whole schedule.
+// infinite cost) are excluded from the estimate and undone — an
+// infinite temperature would otherwise disable the whole schedule.
+// The initial state is restored before the schedule starts.
 func calibrate(s Solution, rng *rand.Rand) float64 {
-	const samples = 40
-	cur := s
-	curCost := cur.Cost()
-	var sum float64
-	var ups int
-	for i := 0; i < samples; i++ {
-		next := cur.Neighbor(rng)
-		nextCost := next.Cost()
-		if math.IsInf(nextCost, 0) || math.IsNaN(nextCost) {
-			continue // stay on the feasible walk
-		}
-		if d := nextCost - curCost; d > 0 && !math.IsInf(d, 0) {
-			sum += d
-			ups++
-		}
-		cur, curCost = next, nextCost
-	}
-	if ups == 0 || sum == 0 {
-		return 1.0
-	}
-	return (sum / float64(ups)) / math.Log(1/0.9)
-}
-
-// calibrateInPlace is calibrate for the move-and-undo protocol: the
-// walk mutates the solution (undoing moves into infeasible states)
-// and the initial state is restored before the schedule starts.
-func calibrateInPlace(s MutableSolution, rng *rand.Rand) float64 {
 	const samples = 40
 	start := s.Snapshot()
 	curCost := s.Cost()
@@ -521,40 +412,23 @@ func calibrateInPlace(s MutableSolution, rng *rand.Rand) float64 {
 }
 
 // Greedy runs pure hill-climbing (temperature zero): only improving
-// moves are accepted. Useful as an ablation baseline against Anneal.
-// Solutions that implement MutableSolution run without cloning: a
-// non-improving move is undone in place.
+// moves are accepted, a non-improving move is undone in place. Useful
+// as an ablation baseline against Anneal.
 func Greedy(initial Solution, moves int, seed int64) (Solution, Stats) {
 	rng := rand.New(rand.NewSource(seed + 1))
-	if ms, ok := initial.(MutableSolution); ok {
-		curCost := ms.Cost()
-		stats := Stats{InitCost: curCost}
-		for i := 0; i < moves; i++ {
-			stats.Moves++
-			undo := ms.Perturb(rng)
-			if c := ms.Cost(); c < curCost {
-				curCost = c
-				stats.Accepted++
-				stats.Improved++
-			} else {
-				undo()
-			}
-		}
-		stats.BestCost = curCost
-		return initial, stats
-	}
-	cur := initial
-	curCost := cur.Cost()
+	curCost := initial.Cost()
 	stats := Stats{InitCost: curCost}
 	for i := 0; i < moves; i++ {
 		stats.Moves++
-		next := cur.Neighbor(rng)
-		if c := next.Cost(); c < curCost {
-			cur, curCost = next, c
+		undo := initial.Perturb(rng)
+		if c := initial.Cost(); c < curCost {
+			curCost = c
 			stats.Accepted++
 			stats.Improved++
+		} else {
+			undo()
 		}
 	}
 	stats.BestCost = curCost
-	return cur, stats
+	return initial, stats
 }

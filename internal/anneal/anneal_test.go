@@ -7,13 +7,21 @@ import (
 )
 
 // quadratic is a toy search space: integers with cost (x - 37)², plus
-// a rugged term to give SA hills to climb.
+// a rugged term to give SA hills to climb. Perturb and Neighbor draw
+// the same step, in place or on a copy.
 type quadratic struct {
-	x      int
-	rugged bool
+	x, prev int
+	rugged  bool
+	undo    Undo
 }
 
-func (q quadratic) Cost() float64 {
+func newQuadratic(x int, rugged bool) *quadratic {
+	q := &quadratic{x: x, rugged: rugged}
+	q.undo = func() { q.x = q.prev }
+	return q
+}
+
+func (q *quadratic) Cost() float64 {
 	d := float64(q.x - 37)
 	c := d * d
 	if q.rugged {
@@ -22,50 +30,58 @@ func (q quadratic) Cost() float64 {
 	return c
 }
 
-func (q quadratic) Neighbor(rng *rand.Rand) Solution {
-	step := rng.Intn(7) - 3
-	return quadratic{q.x + step, q.rugged}
+func (q *quadratic) Perturb(rng *rand.Rand) Undo {
+	q.prev = q.x
+	q.x += rng.Intn(7) - 3
+	return q.undo
+}
+
+func (q *quadratic) Snapshot() any    { return q.x }
+func (q *quadratic) Restore(snap any) { q.x = snap.(int) }
+
+func (q *quadratic) Neighbor(rng *rand.Rand) Mutator {
+	return newQuadratic(q.x+rng.Intn(7)-3, q.rugged)
 }
 
 // xquadratic is quadratic with midpoint crossover, for the
 // recombination-enabled evolutionary engine.
-type xquadratic struct{ quadratic }
+type xquadratic struct{ *quadratic }
 
-func (q xquadratic) Neighbor(rng *rand.Rand) Solution {
-	return xquadratic{q.quadratic.Neighbor(rng).(quadratic)}
+func (q xquadratic) Neighbor(rng *rand.Rand) Mutator {
+	return xquadratic{q.quadratic.Neighbor(rng).(*quadratic)}
 }
 
-func (q xquadratic) Crossover(mate Solution, rng *rand.Rand) Solution {
+func (q xquadratic) Crossover(mate Mutator, rng *rand.Rand) Mutator {
 	m, ok := mate.(xquadratic)
 	if !ok {
 		return nil
 	}
-	return xquadratic{quadratic{(q.x + m.x) / 2, q.rugged}}
+	return xquadratic{newQuadratic((q.x+m.x)/2, q.rugged)}
 }
 
 // TestEvolveCrossover: with CrossoverRate set, recombination-capable
 // populations still converge, and a zero rate draws no extra
 // randomness (bit-identical to the historical mutation-only engine).
 func TestEvolveCrossover(t *testing.T) {
-	best, stats := Evolve(xquadratic{quadratic{x: 400}},
+	best, stats := Evolve(xquadratic{newQuadratic(400, false)},
 		GAOptions{Seed: 5, Generations: 600, StallGenerations: 100, CrossoverRate: 0.5})
 	if best.Cost() > 4 {
 		t.Fatalf("crossover evolve ended at cost %v (stats: %v)", best.Cost(), stats)
 	}
 	// Rate zero must replay the mutation-only engine exactly, even on
 	// crossover-capable solutions.
-	a, _ := Evolve(xquadratic{quadratic{x: 400}}, GAOptions{Seed: 5, Generations: 50})
-	b, _ := Evolve(quadratic{x: 400}, GAOptions{Seed: 5, Generations: 50})
+	a, _ := Evolve(xquadratic{newQuadratic(400, false)}, GAOptions{Seed: 5, Generations: 50})
+	b, _ := Evolve(newQuadratic(400, false), GAOptions{Seed: 5, Generations: 50})
 	ax := a.(xquadratic).x
-	bx := b.(quadratic).x
+	bx := b.(*quadratic).x
 	if ax != bx {
 		t.Fatalf("zero crossover rate diverged from the mutation-only engine: %d vs %d", ax, bx)
 	}
 }
 
 func TestAnnealFindsOptimum(t *testing.T) {
-	best, stats := Anneal(quadratic{x: 500}, Options{Seed: 1})
-	q := best.(quadratic)
+	best, stats := Anneal(newQuadratic(500, false), Options{Seed: 1})
+	q := best.(*quadratic)
 	if q.Cost() > 4 {
 		t.Fatalf("anneal ended at x=%d cost=%v, want near 37 (stats: %v)", q.x, q.Cost(), stats)
 	}
@@ -78,23 +94,23 @@ func TestAnnealFindsOptimum(t *testing.T) {
 }
 
 func TestAnnealRuggedLandscape(t *testing.T) {
-	best, _ := Anneal(quadratic{x: 300, rugged: true}, Options{Seed: 2, MovesPerStage: 200})
-	q := best.(quadratic)
+	best, _ := Anneal(newQuadratic(300, true), Options{Seed: 2, MovesPerStage: 200})
+	q := best.(*quadratic)
 	if math.Abs(float64(q.x-37)) > 10 {
 		t.Fatalf("rugged anneal ended at x=%d, want near 37", q.x)
 	}
 }
 
 func TestAnnealDeterministicWithSeed(t *testing.T) {
-	a, _ := Anneal(quadratic{x: 200}, Options{Seed: 7})
-	b, _ := Anneal(quadratic{x: 200}, Options{Seed: 7})
-	if a.(quadratic).x != b.(quadratic).x {
+	a, _ := Anneal(newQuadratic(200, false), Options{Seed: 7})
+	b, _ := Anneal(newQuadratic(200, false), Options{Seed: 7})
+	if a.(*quadratic).x != b.(*quadratic).x {
 		t.Fatal("same seed must give same result")
 	}
 }
 
 func TestAnnealRespectsMaxStages(t *testing.T) {
-	_, stats := Anneal(quadratic{x: 500}, Options{Seed: 1, MaxStages: 3, StallStages: 100})
+	_, stats := Anneal(newQuadratic(500, false), Options{Seed: 1, MaxStages: 3, StallStages: 100})
 	if stats.Stages > 3 {
 		t.Fatalf("Stages = %d, want <= 3", stats.Stages)
 	}
@@ -103,15 +119,15 @@ func TestAnnealRespectsMaxStages(t *testing.T) {
 func TestAnnealStallStops(t *testing.T) {
 	// Start at the optimum: no improvement is possible, so the run
 	// must stop after StallStages stages.
-	_, stats := Anneal(quadratic{x: 37}, Options{Seed: 1, StallStages: 5, MaxStages: 1000})
+	_, stats := Anneal(newQuadratic(37, false), Options{Seed: 1, StallStages: 5, MaxStages: 1000})
 	if stats.Stages > 60 {
 		t.Fatalf("Stages = %d, expected early stall stop", stats.Stages)
 	}
 }
 
 func TestGreedyOnlyImproves(t *testing.T) {
-	best, stats := Greedy(quadratic{x: 90}, 3000, 3)
-	q := best.(quadratic)
+	best, stats := Greedy(newQuadratic(90, false), 3000, 3)
+	q := best.(*quadratic)
 	if q.Cost() > 4 {
 		t.Fatalf("greedy ended at x=%d, want near 37", q.x)
 	}
@@ -121,18 +137,18 @@ func TestGreedyOnlyImproves(t *testing.T) {
 }
 
 func TestEvolveFindsOptimum(t *testing.T) {
-	best, stats := Evolve(quadratic{x: 400}, GAOptions{Seed: 5, Generations: 600, StallGenerations: 100})
-	q := best.(quadratic)
+	best, stats := Evolve(newQuadratic(400, false), GAOptions{Seed: 5, Generations: 600, StallGenerations: 100})
+	q := best.(*quadratic)
 	if q.Cost() > 9 {
 		t.Fatalf("evolve ended at x=%d cost=%v (stats %v)", q.x, q.Cost(), stats)
 	}
 }
 
 func TestTwoPhaseBeatsItsStart(t *testing.T) {
-	best, stats := TwoPhase(quadratic{x: 700, rugged: true},
+	best, stats := TwoPhase(newQuadratic(700, true),
 		GAOptions{Seed: 11, Generations: 30},
 		Options{Seed: 11, MovesPerStage: 100})
-	q := best.(quadratic)
+	q := best.(*quadratic)
 	if math.Abs(float64(q.x-37)) > 10 {
 		t.Fatalf("two-phase ended at x=%d, want near 37", q.x)
 	}

@@ -6,13 +6,23 @@ import (
 	"sort"
 )
 
-// Crossoverer is an optional extension of Solution for recombination-
+// Mutator is a Solution the evolutionary engine can breed from:
+// Neighbor returns a new, independently owned solution one random
+// move away, leaving the receiver untouched, so a population can hold
+// parents and offspring side by side. Annealing never needs it; only
+// Evolve and TwoPhase's evolutionary phase do.
+type Mutator interface {
+	Solution
+	Neighbor(rng *rand.Rand) Mutator
+}
+
+// Crossoverer is an optional extension of Mutator for recombination-
 // based search: Crossover returns a new solution combining the
 // receiver and mate, or nil when the receiver's representation cannot
 // recombine — the evolutionary engine then falls back to mutation.
 type Crossoverer interface {
-	Solution
-	Crossover(mate Solution, rng *rand.Rand) Solution
+	Mutator
+	Crossover(mate Mutator, rng *rand.Rand) Mutator
 }
 
 // GAOptions configure the evolutionary baseline.
@@ -63,7 +73,7 @@ func (o GAOptions) withDefaults() GAOptions {
 
 // scored pairs a solution with its cached cost.
 type scored struct {
-	s Solution
+	s Mutator
 	c float64
 }
 
@@ -75,7 +85,7 @@ type scored struct {
 // operator, matching how permutation encodings are typically mutated
 // in analog placement; with CrossoverRate > 0, solutions implementing
 // Crossoverer additionally recombine pairs of parents.
-func Evolve(initial Solution, opt GAOptions) (Solution, Stats) {
+func Evolve(initial Mutator, opt GAOptions) (Mutator, Stats) {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	pop := make([]scored, 1, opt.Population)
@@ -98,7 +108,7 @@ func Evolve(initial Solution, opt GAOptions) (Solution, Stats) {
 		stats.Stages++
 		for i := 0; i < opt.Offspring; i++ {
 			parent := pop[rng.Intn(len(pop))]
-			var child Solution
+			var child Mutator
 			if opt.CrossoverRate > 0 && rng.Float64() < opt.CrossoverRate {
 				if xp, ok := parent.s.(Crossoverer); ok {
 					mate := pop[rng.Intn(len(pop))]
@@ -134,7 +144,7 @@ func sortPop(pop []scored) {
 // of the evolved best, with the SA temperature calibrated on the
 // already-improved solution so the second phase fine-tunes rather than
 // re-randomizes.
-func TwoPhase(initial Solution, ga GAOptions, sa Options) (Solution, Stats) {
+func TwoPhase(initial Mutator, ga GAOptions, sa Options) (Solution, Stats) {
 	evolved, gaStats := Evolve(initial, ga)
 	refined, saStats := Anneal(evolved, sa)
 	return refined, Stats{

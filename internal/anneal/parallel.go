@@ -27,9 +27,8 @@ func chainSeed(base int64, worker int) int64 {
 // worker id. Worker 0 runs the exact chain a serial Anneal with the
 // same Options would run.
 //
-// Solutions that implement MutableSolution get the in-place engine,
-// making each chain allocation-free at steady state; the aggregate
-// Stats sum moves across chains while InitCost/BestCost/FinalTemp come
+// Each chain runs the in-place engine, allocation-free at steady
+// state; the aggregate Stats sum moves across chains while InitCost/BestCost/FinalTemp come
 // from the winning chain, Worker records the winning chain's id, and
 // Cancelled is set when any chain stopped on Options.Context.
 //

@@ -37,7 +37,7 @@ const temperExchangeSalt = 0x7E117E9
 // replica is one rung of the tempering ladder: a chain with its own
 // solution, RNG, temperature and best-so-far tracking.
 type replica struct {
-	sol      MutableSolution
+	sol      Solution
 	rng      *rand.Rand
 	cost     float64
 	temp     float64
@@ -59,7 +59,7 @@ func (r *replica) noteBest() {
 
 // runStage advances the replica by one temperature stage. The move
 // loop, acceptance rule, statistics and RNG discipline are exactly
-// annealInPlace's, so a replica with exchanges disabled walks the
+// Anneal's, so a replica with exchanges disabled walks the
 // same trajectory a serial chain with the same seed would. Progress
 // snapshots and flight events carry the replica's rung in Worker:
 // replicas are pinned to their rung (exchanges swap states, not
@@ -126,11 +126,6 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 	if chains < 2 || opt.ExchangeEvery <= 0 {
 		return ParallelAnneal(newSolution, chains, opt)
 	}
-	// The exchange mechanism needs Snapshot/Restore; a cloning-protocol
-	// solution falls back to plain multi-start.
-	if _, ok := newSolution(chainSeed(opt.Seed, 0)).(MutableSolution); !ok {
-		return ParallelAnneal(newSolution, chains, opt)
-	}
 	opt = opt.withDefaults()
 	ladder := opt.TemperLadder
 	if ladder <= 1 {
@@ -157,7 +152,7 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 	// Build every replica concurrently: each owns its representation,
 	// workspaces and RNG, seeded exactly like ParallelAnneal's chains;
 	// only rung 0 consumes a resume checkpoint. Calibration mirrors
-	// annealInPlace, then the ladder scales rung k's base temperature.
+	// Anneal, then the ladder scales rung k's base temperature.
 	reps := make([]*replica, chains)
 	var wg sync.WaitGroup
 	wg.Add(chains)
@@ -168,7 +163,7 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 			seed := chainSeed(opt.Seed, k)
 			r := &replica{rng: rand.New(rand.NewSource(seed + 1))}
 			r.stats.Worker = k
-			r.sol, _ = newSolution(seed).(MutableSolution)
+			r.sol = newSolution(seed)
 			r.kinds, _ = r.sol.(MoveKindReporter)
 			resumed := false
 			if k == 0 && opt.Resume != nil {
@@ -186,7 +181,7 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 			r.bestCost = r.cost
 			base := opt.InitialTemp
 			if base <= 0 {
-				base = calibrateInPlace(r.sol, r.rng)
+				base = calibrate(r.sol, r.rng)
 				r.cost = r.sol.Cost()
 			}
 			r.temp = base * math.Pow(ladder, float64(k-(chains-1)))
@@ -213,7 +208,7 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 			globalBestSnap = r.bestSnap
 		}
 	}
-	// The initial best is capture-worthy, exactly as in annealInPlace.
+	// The initial best is capture-worthy, exactly as in Anneal.
 	newSinceCapture := true
 
 	stall := 0
@@ -316,5 +311,5 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 	}
 	winner := reps[win]
 	winner.sol.Restore(winner.bestSnap)
-	return winner.sol.(Solution), agg
+	return winner.sol, agg
 }

@@ -10,7 +10,7 @@
 // The originals are industrial designs we do not have; what Table I
 // measures — how enhanced shape functions behave as module count and
 // size heterogeneity grow — depends on exactly the properties the
-// generators reproduce, as recorded in DESIGN.md.
+// generators reproduce.
 package circuits
 
 import (

@@ -1,7 +1,7 @@
 // Package core is the top of the library: a unified analog placement
 // API over the four topological approaches the paper surveys, plus
 // drivers that regenerate every table and figure of the evaluation
-// (see DESIGN.md for the experiment index).
+// (cmd/table1, cmd/fig8, cmd/fig10 and cmd/lemma run them).
 //
 // The four approaches, selected by Method:
 //

@@ -15,11 +15,12 @@
 // feasible-initialization retries, and final placement/breakdown
 // assembly.
 //
-// The kernel implements both anneal.Solution protocols — cloning
-// through Neighbor and in-place through Perturb/Undo/Snapshot/Restore
-// — plus anneal.MoveReporter and, for representations implementing
-// Crossover, anneal.Crossoverer, so one adapter type drives the
-// simulated-annealing, greedy, evolutionary and memetic engines alike.
+// The kernel implements the anneal.Solution search protocol
+// (Perturb/Undo/Snapshot/Restore), the evolutionary engine's
+// anneal.Mutator (Neighbor), anneal.MoveReporter and, for
+// representations implementing Crossover, anneal.Crossoverer, so one
+// adapter type drives the simulated-annealing, greedy, evolutionary
+// and memetic engines alike.
 // Every cross-engine feature (the adaptive move portfolio, genetic
 // recombination, new representations) lands here once instead of once
 // per placer.
@@ -63,7 +64,7 @@ type Coords struct {
 // the encoding; Restore brings the encoding back to a snapshotted
 // state without aliasing the snapshot (the kernel may restore the same
 // snapshot again). Clone returns an independent deep copy with its own
-// workspaces (used by the cloning engines). Placement names the
+// workspaces (used by the evolutionary engine). Placement names the
 // current encoding's packed geometry for result assembly.
 type Representation interface {
 	Perturb(rng *rand.Rand) bool
@@ -130,7 +131,7 @@ type Config struct {
 }
 
 // Solution is the shared annealable state over one Representation: it
-// owns the cost model and implements the full anneal.MutableSolution
+// owns the cost model and implements the full anneal.Solution
 // contract (plus Neighbor, MoveReporter and Crossoverer) on behalf of
 // the representation.
 type Solution struct {
@@ -157,8 +158,8 @@ func New(rep Representation, cfg Config) *Solution {
 }
 
 // newSolution wires a solution without the initial evaluation — the
-// cloning paths mutate the fresh copy first and evaluate once after,
-// so an offspring costs one pack + one evaluation, not two.
+// evolutionary paths mutate the fresh copy first and evaluate once
+// after, so an offspring costs one pack + one evaluation, not two.
 func newSolution(rep Representation, cfg Config) *Solution {
 	s := &Solution{rep: rep, cfg: cfg}
 	s.mm, _ = rep.(MovedModules)
@@ -251,7 +252,7 @@ func (s *Solution) MoveKindCounts() (proposed, accepted []int) {
 	return s.adaptive.proposed, s.adaptive.accepted
 }
 
-// Perturb implements anneal.MutableSolution: one random move through
+// Perturb implements anneal.Solution: one random move through
 // the representation (or the adaptive portfolio), evaluated
 // incrementally, with the shared exact-undo closure.
 func (s *Solution) Perturb(rng *rand.Rand) anneal.Undo {
@@ -279,19 +280,20 @@ func (s *Solution) Perturb(rng *rand.Rand) anneal.Undo {
 	return s.undo
 }
 
-// Neighbor implements anneal.Solution: the same move set applied to an
-// independent deep copy.
-func (s *Solution) Neighbor(rng *rand.Rand) anneal.Solution {
+// Neighbor implements anneal.Mutator: the representation's own move
+// set (never the adaptive portfolio) applied to an independent deep
+// copy.
+func (s *Solution) Neighbor(rng *rand.Rand) anneal.Mutator {
 	next := s.clone()
 	next.rep.Perturb(rng)
 	next.evaluate(false)
 	return next
 }
 
-// Snapshot implements anneal.MutableSolution.
+// Snapshot implements anneal.Solution.
 func (s *Solution) Snapshot() any { return s.rep.Snapshot() }
 
-// Restore implements anneal.MutableSolution: the encoding is restored
+// Restore implements anneal.Solution: the encoding is restored
 // and the objective reevaluated against it (incrementally over the
 // model's diff for topological representations, from scratch for
 // direct-coordinate ones — either way bit-exact with a full Eval).
@@ -303,7 +305,7 @@ func (s *Solution) Restore(snapshot any) {
 // Crossover implements anneal.Crossoverer: a recombination of the
 // receiver and mate when the representation supports it, nil otherwise
 // (the evolutionary engine then falls back to mutation).
-func (s *Solution) Crossover(mate anneal.Solution, rng *rand.Rand) anneal.Solution {
+func (s *Solution) Crossover(mate anneal.Mutator, rng *rand.Rand) anneal.Mutator {
 	if _, ok := s.rep.(Crossover); !ok {
 		return nil
 	}

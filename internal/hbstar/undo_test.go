@@ -87,7 +87,7 @@ func TestSolutionPerturbUndo(t *testing.T) {
 }
 
 // TestSolutionSnapshotRestoreRoundTrip asserts the full
-// MutableSolution snapshot contract for the hierarchical placer —
+// anneal.Solution snapshot contract for the hierarchical placer —
 // matching internal/place's flat-placer test: Restore brings the
 // solution back to the snapshotted cost and the exact packed placement
 // after arbitrary drift across the forest's plain trees and ASF

@@ -127,7 +127,7 @@ func TestMoveReporter(t *testing.T) {
 	n := prob.N()
 	for name, sol := range incrementalFixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			mr, ok := anneal.MutableSolution(sol).(anneal.MoveReporter)
+			mr, ok := anneal.Solution(sol).(anneal.MoveReporter)
 			if !ok {
 				t.Fatalf("%s does not implement anneal.MoveReporter", name)
 			}

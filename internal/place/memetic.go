@@ -29,7 +29,7 @@ func memetic(name string, newSol func(seed int64) anneal.Solution, ga anneal.GAO
 	if math.IsInf(init.Cost(), 1) {
 		return nil, fmt.Errorf("%s: no feasible initial solution after %d attempts", name, engine.InitRetries)
 	}
-	best, stats := anneal.TwoPhase(init, ga, sa)
+	best, stats := anneal.TwoPhase(init.(*engine.Solution), ga, sa)
 	return finishResult(best.(*engine.Solution), stats)
 }
 

@@ -9,7 +9,7 @@
 //
 // All placers optimize the same composite cost — bounding-box area
 // plus weighted half-perimeter wirelength — over the same Problem, so
-// the representation ablations of DESIGN.md compare like for like.
+// comparisons between representations are like for like.
 package place
 
 import (

@@ -96,7 +96,7 @@ func fixtures(t *testing.T) []mutableFixture {
 	}
 }
 
-// TestPerturbUndoRoundTrip asserts the MutableSolution contract for
+// TestPerturbUndoRoundTrip asserts the anneal.Solution contract for
 // every placer: after Perturb followed by Undo, both the reported cost
 // and the full placement geometry round-trip exactly.
 func TestPerturbUndoRoundTrip(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuits"
 	"repro/internal/wire"
 	"repro/placer"
 )
@@ -18,11 +17,7 @@ func quickOptions(method string) wire.Options {
 
 func millerRequest(t *testing.T, method string) *wire.Request {
 	t.Helper()
-	p, err := wire.FromBench(circuits.MillerOpAmp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &wire.Request{Problem: *p, Options: quickOptions(method)}
+	return &wire.Request{Problem: *benchProblem(t, "miller"), Options: quickOptions(method)}
 }
 
 func waitJob(t *testing.T, j *Job) *wire.Result {
@@ -277,15 +272,11 @@ func TestPortfolioPicksFeasible(t *testing.T) {
 
 func benchProblem(t *testing.T, name string) *wire.Problem {
 	t.Helper()
-	b, err := circuits.TableIBench(name)
+	p, err := placer.Benchmark(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := wire.FromBench(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return wire.FromCanon(p)
 }
 
 // TestProgressMultiStartMoves pins the per-chain progress sources:

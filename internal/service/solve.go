@@ -16,10 +16,10 @@ import (
 // scheduler, the CLI's -json mode and client examples, and it alone
 // converts the request's timeout_ms into a context deadline (callers
 // layer their own ceilings on ctx). It is a thin adapter over
-// placer.Solve: the wire problem converts to the canonical
-// placer.Problem, the options map onto functional options, and the
-// placer registry does all algorithm dispatch — the service carries
-// no algorithm switch of its own. The progress callback (may be nil)
+// placer.Solve: the wire problem's embedded placer.Problem is solved
+// as is (placer.Solve works on its own copy), the options map onto
+// functional options, and the placer registry does all algorithm
+// dispatch — the service carries no algorithm switch of its own. The progress callback (may be nil)
 // receives every annealing stage snapshot tagged with the algorithm
 // that produced it. Extra placer options (the scheduler's checkpoint
 // wiring, a shortened pressure-mode schedule) are appended after the
@@ -68,7 +68,7 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 		return nil, err
 	}
 	start := time.Now()
-	res, err := placer.Solve(ctx, req.Problem.ToCanon(), opts...)
+	res, err := placer.Solve(ctx, &req.Problem.Problem, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -74,12 +74,28 @@ type timers struct {
 	extract time.Duration
 }
 
-// solution is one candidate design in the annealer.
+// solution is the candidate design the annealer mutates in place.
 type solution struct {
 	prob *Problem
 	tim  *timers
 	d    perf.FoldedCascode
 	cost float64
+	prev snapshot // the state before the last Perturb
+	undo anneal.Undo
+}
+
+// snapshot is a design with its evaluated cost, so restoring one needs
+// no re-evaluation (and spends no extraction time).
+type snapshot struct {
+	d    perf.FoldedCascode
+	cost float64
+}
+
+func newSolution(p *Problem, tim *timers) *solution {
+	s := &solution{prob: p, tim: tim, d: p.Base}
+	s.undo = func() { s.d, s.cost = s.prev.d, s.prev.cost }
+	s.evaluate()
+	return s
 }
 
 // specCost turns violations into a smooth penalty: relative shortfall
@@ -156,11 +172,11 @@ func (s *solution) evaluate() {
 // Cost implements anneal.Solution.
 func (s *solution) Cost() float64 { return s.cost }
 
-// Neighbor implements anneal.Solution: scale one width or the bias
+// Perturb implements anneal.Solution: scale one width or the bias
 // current, or (layout-aware) step one fold count.
-func (s *solution) Neighbor(rng *rand.Rand) anneal.Solution {
-	next := &solution{prob: s.prob, tim: s.tim, d: s.d}
-	devs := []*mos.Device{&next.d.In, &next.d.Tail, &next.d.Src, &next.d.CasP, &next.d.CasN, &next.d.Mir}
+func (s *solution) Perturb(rng *rand.Rand) anneal.Undo {
+	s.prev = snapshot{s.d, s.cost}
+	devs := [...]*mos.Device{&s.d.In, &s.d.Tail, &s.d.Src, &s.d.CasP, &s.d.CasN, &s.d.Mir}
 	nMoves := 7
 	if s.prob.Mode == LayoutAware {
 		nMoves = 13 // six fold moves in addition
@@ -177,7 +193,7 @@ func (s *solution) Neighbor(rng *rand.Rand) anneal.Solution {
 		d.Folds = clampFolds(d.W, d.Folds)
 	case k == 6: // scale the tail current
 		factor := 0.75 + rng.Float64()*0.6
-		next.d.ITail = clamp(next.d.ITail*factor, 10e-6, 5e-3)
+		s.d.ITail = clamp(s.d.ITail*factor, 10e-6, 5e-3)
 	default: // step a fold count (layout-aware only)
 		d := devs[k-7]
 		step := 1
@@ -186,8 +202,17 @@ func (s *solution) Neighbor(rng *rand.Rand) anneal.Solution {
 		}
 		d.Folds = clampFolds(d.W, d.Folds+step)
 	}
-	next.evaluate()
-	return next
+	s.evaluate()
+	return s.undo
+}
+
+// Snapshot implements anneal.Solution.
+func (s *solution) Snapshot() any { return snapshot{s.d, s.cost} }
+
+// Restore implements anneal.Solution.
+func (s *solution) Restore(snap any) {
+	sn := snap.(snapshot)
+	s.d, s.cost = sn.d, sn.cost
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -217,9 +242,7 @@ func Run(p Problem, opt anneal.Options) (*Result, error) {
 	}
 	start := time.Now()
 	tim := &timers{}
-	init := &solution{prob: &p, tim: tim, d: p.Base}
-	init.evaluate()
-	best, stats := anneal.Anneal(init, opt)
+	best, stats := anneal.Anneal(newSolution(&p, tim), opt)
 	sol := best.(*solution)
 	elapsed := time.Since(start)
 

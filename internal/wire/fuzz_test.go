@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -133,13 +132,4 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("HashNormalized %s disagrees with Hash %s on a decoded request\ninput: %q", hn, h, data)
 		}
 	})
-}
-
-// TestDecodeRejectsEmbeddedKey: the problem's fields are spelled flat
-// on the wire; nesting them under "Problem" is an unknown field.
-func TestDecodeRejectsEmbeddedKey(t *testing.T) {
-	_, err := DecodeRequest([]byte(embeddedKeyBody))
-	if err == nil || !strings.Contains(err.Error(), `unknown field "Problem"`) {
-		t.Fatalf("embedded-key body: err %v, want an unknown-field rejection", err)
-	}
 }

@@ -5,24 +5,24 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/circuits"
+	"repro/placer"
 )
 
 func testProblem() *Problem {
-	return &Problem{
-		Version: Version,
-		Name:    "toy",
-		Modules: []Module{
+	return &Problem{Version: Version, Problem: placer.Problem{
+		Name: "toy",
+		Modules: []placer.Module{
 			{Name: "A", W: 4, H: 2}, {Name: "B", W: 4, H: 2},
 			{Name: "C", W: 3, H: 3}, {Name: "D", W: 5, H: 1},
 		},
-		Symmetry:  []SymGroup{{Pairs: [][2]int{{0, 1}}}},
+		Symmetry:  []placer.SymGroup{{Pairs: [][2]int{{0, 1}}}},
 		Nets:      [][]int{{0, 2}, {1, 3}},
 		Proximity: [][]int{{2, 3}},
-		Objective: Objective{AreaWeight: 1, WireWeight: 1},
-	}
+		Objective: placer.Objective{AreaWeight: 1, WireWeight: 1},
+	}}
 }
 
 // TestObjectiveDefaultCanonical: area_weight 0 means the default 1,
@@ -75,9 +75,9 @@ func TestHashPermutationInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := testProblem()
-	q.Nets = [][]int{{3, 1}, {2, 0}}                   // nets and members permuted
-	q.Symmetry = []SymGroup{{Pairs: [][2]int{{1, 0}}}} // endpoints swapped
-	q.Version = 0                                      // version omitted
+	q.Nets = [][]int{{3, 1}, {2, 0}}                          // nets and members permuted
+	q.Symmetry = []placer.SymGroup{{Pairs: [][2]int{{1, 0}}}} // endpoints swapped
+	q.Version = 0                                             // version omitted
 	h2, err := q.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestHierarchyHashPermutationInvariant(t *testing.T) {
 	mk := func(pair [2]string, flip bool) *Problem {
 		p := testProblem()
 		p.Symmetry = nil
-		kids := []*Node{
+		kids := []*placer.Node{
 			{Name: "dp", Kind: "symmetry", Devices: []string{"A", "B"}, Pairs: [][2]string{pair}},
 			{Name: "rest", Kind: "proximity", Devices: []string{"C", "D"}},
 		}
@@ -168,7 +168,7 @@ func TestHierarchyHashPermutationInvariant(t *testing.T) {
 			kids[0], kids[1] = kids[1], kids[0]
 			kids[1].Devices = []string{"B", "A"}
 		}
-		p.Hierarchy = &Node{Name: "root", Children: kids}
+		p.Hierarchy = &placer.Node{Name: "root", Children: kids}
 		return p
 	}
 	h1, err := mk([2]string{"A", "B"}, false).Hash()
@@ -193,8 +193,8 @@ func TestValidateRejects(t *testing.T) {
 		"future version":     func(p *Problem) { p.Version = 99 },
 		"self pair":          func(p *Problem) { p.Symmetry[0].Pairs[0] = [2]int{1, 1} },
 		"sym out of range":   func(p *Problem) { p.Symmetry[0].Pairs[0] = [2]int{0, 9} },
-		"dup across groups":  func(p *Problem) { p.Symmetry = append(p.Symmetry, SymGroup{Selfs: []int{0}}) },
-		"empty group":        func(p *Problem) { p.Symmetry = append(p.Symmetry, SymGroup{}) },
+		"dup across groups":  func(p *Problem) { p.Symmetry = append(p.Symmetry, placer.SymGroup{Selfs: []int{0}}) },
+		"empty group":        func(p *Problem) { p.Symmetry = append(p.Symmetry, placer.SymGroup{}) },
 		"net out of range":   func(p *Problem) { p.Nets[0][0] = -1 },
 		"net dup member":     func(p *Problem) { p.Nets[0] = []int{2, 2} },
 		"one-module net":     func(p *Problem) { p.Nets[0] = []int{2} },
@@ -203,30 +203,30 @@ func TestValidateRejects(t *testing.T) {
 		"negative power":     func(p *Problem) { p.Power = []float64{1, 1, -2, 1} },
 		"negative weight":    func(p *Problem) { p.Objective.WireWeight = -1 },
 		"half outline":       func(p *Problem) { p.Objective.OutlineW = 50 },
-		"bad hierarchy kind": func(p *Problem) { p.Hierarchy = &Node{Kind: "mystery"} },
-		"unknown device":     func(p *Problem) { p.Hierarchy = &Node{Devices: []string{"nope"}} },
+		"bad hierarchy kind": func(p *Problem) { p.Hierarchy = &placer.Node{Kind: "mystery"} },
+		"unknown device":     func(p *Problem) { p.Hierarchy = &placer.Node{Devices: []string{"nope"}} },
 		"device owned twice": func(p *Problem) {
-			p.Hierarchy = &Node{Devices: []string{"A"}, Children: []*Node{{Name: "x", Devices: []string{"A"}}}}
+			p.Hierarchy = &placer.Node{Devices: []string{"A"}, Children: []*placer.Node{{Name: "x", Devices: []string{"A"}}}}
 		},
 		"dangling sym target": func(p *Problem) {
-			p.Hierarchy = &Node{Devices: []string{"A"}, Kind: "symmetry", Pairs: [][2]string{{"A", "ghost"}}}
+			p.Hierarchy = &placer.Node{Devices: []string{"A"}, Kind: "symmetry", Pairs: [][2]string{{"A", "ghost"}}}
 		},
 		"empty centroid unit": func(p *Problem) {
-			p.Hierarchy = &Node{Devices: []string{"A"}, Kind: "common_centroid", Units: map[string][]string{"u": {}}}
+			p.Hierarchy = &placer.Node{Devices: []string{"A"}, Kind: "common_centroid", Units: map[string][]string{"u": {}}}
 		},
 		"dangling centroid unit": func(p *Problem) {
-			p.Hierarchy = &Node{Devices: []string{"A"}, Kind: "common_centroid", Units: map[string][]string{"u": {"ghost"}}}
+			p.Hierarchy = &placer.Node{Devices: []string{"A"}, Kind: "common_centroid", Units: map[string][]string{"u": {"ghost"}}}
 		},
 		"unnamed child": func(p *Problem) {
-			p.Hierarchy = &Node{Name: "r", Children: []*Node{{Devices: []string{"A"}}}}
+			p.Hierarchy = &placer.Node{Name: "r", Children: []*placer.Node{{Devices: []string{"A"}}}}
 		},
 		"duplicate child name": func(p *Problem) {
-			p.Hierarchy = &Node{Name: "r", Children: []*Node{
+			p.Hierarchy = &placer.Node{Name: "r", Children: []*placer.Node{
 				{Name: "x", Devices: []string{"A"}}, {Name: "x", Devices: []string{"B"}}}}
 		},
 		"child shadows device": func(p *Problem) {
-			p.Hierarchy = &Node{Name: "r", Devices: []string{"A"},
-				Children: []*Node{{Name: "A", Devices: []string{"B"}}}}
+			p.Hierarchy = &placer.Node{Name: "r", Devices: []string{"A"},
+				Children: []*placer.Node{{Name: "A", Devices: []string{"B"}}}}
 		},
 	}
 	for name, mutate := range cases {
@@ -245,23 +245,29 @@ func TestDecodeStrict(t *testing.T) {
 	if _, err := DecodeProblem([]byte(`{"version":1,"modules":[{"name":"A","w":1,"h":1}],"objective":{}} trailing`)); err == nil {
 		t.Fatal("trailing data accepted")
 	}
+	// The embedded placer problem's fields are spelled flat on the
+	// wire; nesting them under "Problem" is an unknown field.
+	if _, err := DecodeRequest([]byte(embeddedKeyBody)); err == nil || !strings.Contains(err.Error(), `unknown field "Problem"`) {
+		t.Fatalf("embedded-key body: err %v, want an unknown-field rejection", err)
+	}
 	if _, err := DecodeRequest([]byte(`{"problem":{"modules":[{"name":"A","w":1,"h":1}],"objective":{}},"options":{"method":"sorcery"}}`)); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
 
-// TestCanonRoundTrip: wire → placer → wire must be lossless — same
-// content address, and byte-identical canonical encodings — including
-// the hierarchy. (The semantic conversions to the engines' internal
-// representations are tested with the placer package.)
+// TestCanonRoundTrip: framing the embedded placer problem again with
+// FromCanon must be lossless — same content address, and
+// byte-identical canonical encodings — including the hierarchy. (The
+// semantic conversions to the engines' internal representations are
+// tested with the placer package.)
 func TestCanonRoundTrip(t *testing.T) {
 	for name, p := range map[string]*Problem{
 		"toy": testProblem(),
 		"hierarchy": func() *Problem {
 			p := testProblem()
-			p.Hierarchy = &Node{
+			p.Hierarchy = &placer.Node{
 				Name: "root",
-				Children: []*Node{
+				Children: []*placer.Node{
 					{Name: "dp", Kind: "symmetry", Devices: []string{"A", "B"},
 						Pairs: [][2]string{{"A", "B"}},
 						Units: map[string][]string{"u": {"A"}}},
@@ -272,7 +278,7 @@ func TestCanonRoundTrip(t *testing.T) {
 			return p
 		}(),
 	} {
-		back := FromCanon(p.ToCanon())
+		back := FromCanon(&p.Problem)
 		h1, err := p.Hash()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -282,7 +288,7 @@ func TestCanonRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if h1 != h2 {
-			t.Fatalf("%s: ToCanon/FromCanon round-trip changed the content address", name)
+			t.Fatalf("%s: FromCanon round-trip changed the content address", name)
 		}
 		c1, _ := p.Canonical()
 		c2, _ := back.Canonical()
@@ -292,11 +298,14 @@ func TestCanonRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromBenchMiller(t *testing.T) {
-	p, err := FromBench(circuits.MillerOpAmp())
+// TestMillerBenchmarkOnWire: a benchmark framed for the wire keeps
+// its flat view, its hierarchy and the conventional objective.
+func TestMillerBenchmarkOnWire(t *testing.T) {
+	miller, err := placer.Benchmark("miller")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := FromCanon(miller)
 	if len(p.Modules) != 9 {
 		t.Fatalf("miller has 9 modules, wire sees %d", len(p.Modules))
 	}
@@ -315,7 +324,7 @@ func TestFromBenchMiller(t *testing.T) {
 // the canonical encoding (hierarchy units are a map).
 func TestCanonicalDeterministic(t *testing.T) {
 	p := testProblem()
-	p.Hierarchy = &Node{
+	p.Hierarchy = &placer.Node{
 		Name:    "root",
 		Devices: []string{"A", "B", "C", "D"},
 		Units:   map[string][]string{"u1": {"A"}, "u2": {"B"}, "u0": {"C"}},
@@ -341,12 +350,12 @@ func TestNormalizeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(10)
-		p := &Problem{Modules: make([]Module, n)}
+		p := &Problem{Problem: placer.Problem{Modules: make([]placer.Module, n)}}
 		for i := range p.Modules {
-			p.Modules[i] = Module{Name: string(rune('a' + i)), W: 1 + rng.Intn(9), H: 1 + rng.Intn(9)}
+			p.Modules[i] = placer.Module{Name: string(rune('a' + i)), W: 1 + rng.Intn(9), H: 1 + rng.Intn(9)}
 		}
 		if n >= 4 && rng.Intn(2) == 0 {
-			p.Symmetry = []SymGroup{{Pairs: [][2]int{{rng.Intn(2) * 3, 1 + rng.Intn(2)}}}}
+			p.Symmetry = []placer.SymGroup{{Pairs: [][2]int{{rng.Intn(2) * 3, 1 + rng.Intn(2)}}}}
 		}
 		for i := 0; i < rng.Intn(4); i++ {
 			a, b := rng.Intn(n), rng.Intn(n)

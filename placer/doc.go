@@ -47,8 +47,9 @@
 // The package is a facade: engines run on internal/place and
 // internal/hbstar, objectives on internal/cost, schedules on
 // internal/anneal. internal/wire is the JSON transport encoding of
-// [Problem] (wire.Problem.ToCanon / wire.FromCanon convert
-// losslessly), and internal/service schedules Solve calls behind the
-// HTTP daemon. See PERFORMANCE.md's "Public API" section for
-// migration notes from the internal packages.
+// [Problem] (wire.Problem embeds it behind a format version, so the
+// JSON tags here are the wire spelling), and internal/service
+// schedules Solve calls behind the HTTP daemon. See PERFORMANCE.md's
+// "Public API" section for migration notes from the internal
+// packages.
 package placer

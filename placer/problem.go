@@ -8,16 +8,17 @@ import (
 
 // Module is one placeable rectangle of W × H layout units.
 type Module struct {
-	Name string
-	W, H int
+	Name string `json:"name"`
+	W    int    `json:"w"`
+	H    int    `json:"h"`
 }
 
 // SymGroup is a symmetry group over module ids: Pairs mirror about a
 // shared vertical axis, Selfs are self-symmetric on it. A module may
 // belong to at most one group.
 type SymGroup struct {
-	Pairs [][2]int
-	Selfs []int
+	Pairs [][2]int `json:"pairs,omitempty"`
+	Selfs []int    `json:"selfs,omitempty"`
 }
 
 // Objective carries the weights of the composable cost model every
@@ -27,16 +28,17 @@ type SymGroup struct {
 // term; the hierarchical engine always enforces proximity through its
 // fragments penalty.
 type Objective struct {
-	AreaWeight float64
-	WireWeight float64
+	AreaWeight float64 `json:"area_weight,omitempty"`
+	WireWeight float64 `json:"wire_weight,omitempty"`
 	// OutlineW/OutlineH, when both positive, add a fixed-outline term:
 	// a quadratic penalty on the bounding box exceeding the outline.
-	OutlineW, OutlineH int
+	OutlineW int `json:"outline_w,omitempty"`
+	OutlineH int `json:"outline_h,omitempty"`
 	// OutlineWeight scales that penalty (0 = heuristic default).
-	OutlineWeight float64
-	ProxWeight    float64
-	ThermalWeight float64
-	ThermalSigma  float64
+	OutlineWeight float64 `json:"outline_weight,omitempty"`
+	ProxWeight    float64 `json:"prox_weight,omitempty"`
+	ThermalWeight float64 `json:"thermal_weight,omitempty"`
+	ThermalSigma  float64 `json:"thermal_sigma,omitempty"`
 }
 
 // Hierarchy node kinds.
@@ -52,37 +54,38 @@ const (
 // modules; symmetry Pairs and Selfs may name either modules or child
 // nodes (a child participates as one rigid object).
 type Node struct {
-	Name     string
-	Kind     string // one of the Kind constants
-	Devices  []string
-	Pairs    [][2]string
-	Selfs    []string
-	Units    map[string][]string
-	Children []*Node
+	Name     string              `json:"name,omitempty"`
+	Kind     string              `json:"kind,omitempty"` // one of the Kind constants
+	Devices  []string            `json:"devices,omitempty"`
+	Pairs    [][2]string         `json:"pairs,omitempty"`
+	Selfs    []string            `json:"selfs,omitempty"`
+	Units    map[string][]string `json:"units,omitempty"`
+	Children []*Node             `json:"children,omitempty"`
 }
 
 // Problem is the canonical placement instance every consumer of this
-// repository speaks: the CLI, the daemon's wire format, the engines
-// and the examples all convert to or from it. It unifies the flat
-// inputs (modules, id-based symmetry groups, nets, proximity groups)
-// with the optional design hierarchy; engines that only understand
-// one of the two derive what they need (flat engines bind
-// hierarchy-spelled symmetry, the hierarchical engine synthesizes a
-// tree from flat groups).
+// repository speaks: the CLI, the engines and the examples use it
+// directly, and the daemon's wire format embeds it, so its JSON tags
+// are the wire spelling (changing a tag changes every content hash).
+// It unifies the flat inputs (modules, id-based symmetry groups, nets,
+// proximity groups) with the optional design hierarchy; engines that
+// only understand one of the two derive what they need (flat engines
+// bind hierarchy-spelled symmetry, the hierarchical engine synthesizes
+// a tree from flat groups).
 type Problem struct {
-	Name    string
-	Modules []Module
+	Name    string   `json:"name,omitempty"`
+	Modules []Module `json:"modules"`
 	// Symmetry groups over module ids (vertical axes).
-	Symmetry []SymGroup
+	Symmetry []SymGroup `json:"symmetry,omitempty"`
 	// Nets lists signal nets as module-id sets for wirelength.
-	Nets [][]int
+	Nets [][]int `json:"nets,omitempty"`
 	// Proximity lists proximity groups as module-id sets.
-	Proximity [][]int
+	Proximity [][]int `json:"proximity,omitempty"`
 	// Power gives per-module dissipated power for the thermal term
 	// (nil = area-normalized default).
-	Power     []float64
-	Objective Objective
-	Hierarchy *Node
+	Power     []float64 `json:"power,omitempty"`
+	Objective Objective `json:"objective"`
+	Hierarchy *Node     `json:"hierarchy,omitempty"`
 }
 
 // N returns the module count.
@@ -323,6 +326,11 @@ func validateNode(nd *Node, modules map[string]bool, owned map[string]bool) erro
 // explicitly (area weight 1); weights whose zero means "derived per
 // problem" (outline weight heuristic, thermal sigma) keep 0 as their
 // canonical spelling. Solve normalizes a copy automatically.
+//
+// Normalize writes nothing to a problem that is already normalized, so
+// re-normalizing a canonical problem is safe while other goroutines
+// read it (the service normalizes a request on submit and again in
+// the solving worker).
 func (p *Problem) Normalize() {
 	if p.Objective.AreaWeight == 0 {
 		p.Objective.AreaWeight = 1
@@ -341,30 +349,18 @@ func (p *Problem) Normalize() {
 			return g.Pairs[i][1] < g.Pairs[j][1]
 		})
 		sort.Ints(g.Selfs)
-		if len(g.Pairs) == 0 {
-			g.Pairs = nil
-		}
-		if len(g.Selfs) == 0 {
-			g.Selfs = nil
-		}
+		nilIfEmpty(&g.Pairs)
+		nilIfEmpty(&g.Selfs)
 	}
 	sort.Slice(p.Symmetry, func(i, j int) bool {
 		return symKey(p.Symmetry[i]) < symKey(p.Symmetry[j])
 	})
 	normalizeIDLists(p.Nets)
 	normalizeIDLists(p.Proximity)
-	if len(p.Symmetry) == 0 {
-		p.Symmetry = nil
-	}
-	if len(p.Nets) == 0 {
-		p.Nets = nil
-	}
-	if len(p.Proximity) == 0 {
-		p.Proximity = nil
-	}
-	if len(p.Power) == 0 {
-		p.Power = nil
-	}
+	nilIfEmpty(&p.Symmetry)
+	nilIfEmpty(&p.Nets)
+	nilIfEmpty(&p.Proximity)
+	nilIfEmpty(&p.Power)
 	p.Hierarchy.normalize()
 }
 
@@ -396,17 +392,17 @@ func (nd *Node) normalize() {
 		c.normalize()
 	}
 	sort.Slice(nd.Children, func(i, j int) bool { return nd.Children[i].Name < nd.Children[j].Name })
-	if len(nd.Devices) == 0 {
-		nd.Devices = nil
-	}
-	if len(nd.Pairs) == 0 {
-		nd.Pairs = nil
-	}
-	if len(nd.Selfs) == 0 {
-		nd.Selfs = nil
-	}
-	if len(nd.Children) == 0 {
-		nd.Children = nil
+	nilIfEmpty(&nd.Devices)
+	nilIfEmpty(&nd.Pairs)
+	nilIfEmpty(&nd.Selfs)
+	nilIfEmpty(&nd.Children)
+}
+
+// nilIfEmpty makes an empty slice nil, writing only when it is not
+// nil already.
+func nilIfEmpty[T any](s *[]T) {
+	if *s != nil && len(*s) == 0 {
+		*s = nil
 	}
 }
 
