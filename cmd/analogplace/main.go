@@ -12,14 +12,21 @@
 //	            [-algorithms]
 //
 // -algorithms lists the placer registry — every valid -method value
-// with its kind (flat/hierarchical) and portfolio eligibility — and
-// exits; the daemon serves the same listing on GET /v1/algorithms.
-// The CLI performs no algorithm dispatch of its own: the wire path
-// (-json/-json-out) runs any registered algorithm through
-// placer.Solve, so a backend registered with placer.Register is
-// immediately placeable here; the classic path is limited to the
-// paper's built-in methods (it drives internal/core's ablation
-// harness) and points registry-only algorithms at -json-out.
+// with its kind (flat/hierarchical) and portfolio eligibility — plus
+// the deterministic esf/rsf methods, and exits; the daemon serves the
+// same registry listing on GET /v1/algorithms.
+//
+// Every annealing method — any registered algorithm, or portfolio,
+// which races the portfolio-eligible engines — runs one path: the CLI
+// assembles a wire Request (from -bench or -json) and solves it
+// through service.Solve, the path the placed daemon uses, so the
+// printed placement, the -json-out result and a daemon solve of the
+// same request agree. The CLI performs no algorithm dispatch of its
+// own: a backend registered with placer.Register is immediately
+// placeable here. The deterministic Section IV methods esf and rsf
+// take none of the annealing options and have no wire representation;
+// they run internal/core's enumeration placer and reject the -json*
+// and -trace-out flags.
 //
 // -workers above 1 runs parallel multi-start annealing: that many
 // independent chains on separate cores, keeping the best placement.
@@ -34,28 +41,15 @@
 //
 // The CLI speaks the same canonical JSON wire format as the placed
 // daemon (internal/wire). -json FILE (or "-" for stdin) reads a wire
-// Problem or Request instead of -bench and solves it through the
-// identical service path; -json-out FILE (or "-" for stdout) writes
-// the wire Result; -json-req FILE emits the assembled Request itself
-// (canonically encoded, without solving), so
+// Problem or Request instead of -bench; -json-out FILE (or "-" for
+// stdout) also writes the wire Result; -json-req FILE emits the
+// assembled Request itself (canonically encoded, without solving), so
 //
 //	analogplace -bench miller -method seqpair -json-req - | curl -s \
 //	  -X POST --data-binary @- 'localhost:8080/v1/place?wait=1'
 //
-// and the local `analogplace -bench miller -method seqpair -json-out -`
-// produce the same placement for the same request. -json-out with a
-// benchmark runs the wire path too (method portfolio races
-// seqpair/bstar/tcg); the deterministic esf/rsf methods have no wire
-// representation and reject the -json* flags.
-//
-// One deliberate difference from the classic path: classic runs keep
-// the paper's ablation semantics and strip symmetry groups from the
-// problem for the non-seqpair flat methods (so bstar/tcg/slicing/
-// absolute are the unconstrained baselines of the paper, and -thermal
-// has no pairs to act on), while the wire path keeps every method on
-// the identical composite objective — symmetry-pair thermal term
-// included — so service results and portfolio racers compare like
-// for like.
+// and the local `analogplace -bench miller -method seqpair -v`
+// produce the same placement for the same request.
 package main
 
 import (
@@ -68,8 +62,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
-	"repro/internal/anneal"
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -160,10 +154,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// esf/rsf are deterministic Section IV methods with no wire
-	// representation: always the classic path, never -json.
-	classicOnly := *method == "esf" || *method == "rsf"
-	wireMode := set["json"] || set["json-out"] || set["json-req"] || set["trace-out"]
-	if classicOnly && wireMode {
+	// representation.
+	deterministic := *method == "esf" || *method == "rsf"
+	if deterministic && (set["json"] || set["json-out"] || set["json-req"] || set["trace-out"]) {
 		return fmt.Errorf("method %q is deterministic and has no wire representation; drop -json/-json-out/-json-req/-trace-out", *method)
 	}
 	if set["json-req"] && (set["json-out"] || set["svg"] || set["trace-out"]) {
@@ -178,51 +171,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-json-out and -trace-out cannot both write to stdout")
 	}
 
-	if wireMode {
-		return runWire(wireArgs{
-			method: *method, methodSet: set["method"],
-			seed: *seed, seedSet: set["seed"],
-			workers: *workers, workersSet: set["workers"],
-			temperChains: *temperChains, temperChainsSet: set["temper-chains"],
-			exchangeEvery: *exchangeEvery, exchangeEverySet: set["exchange-every"],
-			jsonIn: *jsonIn, jsonOut: *jsonOut, jsonReq: *jsonReq, traceOut: *traceOut,
-			objective: placer.Objective{
-				AreaWeight:    *areaWeight,
-				WireWeight:    *wireWeight,
-				OutlineW:      outlineW,
-				OutlineH:      outlineH,
-				OutlineWeight: *outlineWeight,
-				ProxWeight:    *proxWeight,
-				ThermalWeight: *thermalWeight,
-				ThermalSigma:  *thermalSigma,
-			},
-			objectiveSet: set["outline"] || set["outline-weight"] || set["thermal"] ||
-				set["thermal-sigma"] || set["prox"] || set["wire"] || set["area"],
-			bench:   *bench,
-			verbose: *verbose, svgPath: *svgPath,
-		}, stdout, stderr)
-	}
-
-	if *method == "portfolio" {
-		return fmt.Errorf("method portfolio needs the wire path: add -json-out (or -json)")
-	}
-	b, err := pickBench(*bench)
-	if err != nil {
-		return err
-	}
-	// The registry (plus core's deterministic esf/rsf) is the only
-	// method namespace; the CLI carries no dispatch of its own. The
-	// classic path runs core's paper-ablation harness, so it only
-	// knows the built-in methods — registered-but-not-built-in
-	// algorithms run through the wire path.
-	m, err := core.ParseMethod(*method)
-	if err != nil {
-		if placer.Known(*method) {
-			return fmt.Errorf("method %q is registry-only and needs the wire path: add -json-out (or -json)", *method)
-		}
-		return err
-	}
-	obj := &core.Objective{
+	objective := placer.Objective{
 		AreaWeight:    *areaWeight,
 		WireWeight:    *wireWeight,
 		OutlineW:      outlineW,
@@ -232,47 +181,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ThermalWeight: *thermalWeight,
 		ThermalSigma:  *thermalSigma,
 	}
-	opt := anneal.Options{
-		Seed:          *seed,
-		MovesPerStage: wire.DefaultMovesPerStage,
-		MaxStages:     wire.DefaultMaxStages,
-		StallStages:   wire.DefaultStallStages,
-		Workers:       *workers,
-		TemperChains:  *temperChains,
-		ExchangeEvery: *exchangeEvery,
+	if deterministic {
+		return runDeterministic(*bench, *method, objective, *verbose, *svgPath, stdout)
 	}
-	res, err := core.PlaceBenchObjective(b, m, opt, obj)
-	if err != nil {
-		return err
-	}
-	bb := res.Placement.BBox()
-	fmt.Fprintf(stdout, "bench=%s method=%v modules=%d\n", b.Name, m, len(res.Placement))
-	fmt.Fprintf(stdout, "bounding box: %dx%d  area usage: %.2f%%  legal: %v  runtime: %s\n",
-		bb.W, bb.H, 100*res.AreaUsage, res.Legal, res.Runtime.Round(1e6))
-	printTermBreakdown(stdout, res.Breakdown)
-	if o := res.Outline; o != nil {
-		if o.Fits() {
-			fmt.Fprintf(stdout, "outline %dx%d: bounding box fits\n", o.W, o.H)
-		} else {
-			fmt.Fprintf(stdout, "outline %dx%d: violated by %dx%d, penalty %.4g\n",
-				o.W, o.H, o.ExcessW, o.ExcessH, o.Penalty)
-		}
-	}
-	printViolations(stdout, stringifyErrs(res.Violations))
-	if *verbose {
-		printCoords(stdout, res.Placement)
-	}
-	if *svgPath != "" {
-		if err := writeSVG(*svgPath, res.Placement); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote", *svgPath)
-	}
-	return nil
+	return runWire(wireArgs{
+		method: *method, methodSet: set["method"],
+		seed: *seed, seedSet: set["seed"],
+		workers: *workers, workersSet: set["workers"],
+		temperChains: *temperChains, temperChainsSet: set["temper-chains"],
+		exchangeEvery: *exchangeEvery, exchangeEverySet: set["exchange-every"],
+		jsonIn: *jsonIn, jsonOut: *jsonOut, jsonReq: *jsonReq, traceOut: *traceOut,
+		objective: objective,
+		objectiveSet: set["outline"] || set["outline-weight"] || set["thermal"] ||
+			set["thermal-sigma"] || set["prox"] || set["wire"] || set["area"],
+		bench:   *bench,
+		verbose: *verbose, svgPath: *svgPath,
+	}, stdout, stderr)
 }
 
 // printAlgorithms lists the registry: one row per engine plus the
-// portfolio meta-method and the classic-only deterministic methods.
+// portfolio meta-method and the deterministic esf/rsf methods.
 func printAlgorithms(w io.Writer) {
 	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "ALGORITHM", "KIND", "PORTFOLIO", "DESCRIPTION")
 	for _, v := range service.AlgorithmViews() {
@@ -285,11 +213,11 @@ func printAlgorithms(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", v.Name, v.Kind, eligible, v.Description)
 	}
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "esf", "deterministic", "-", "Section IV enumeration with enhanced shape functions (classic path only)")
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "rsf", "deterministic", "-", "Section IV enumeration with regular shape functions (classic path only)")
+	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "esf", "deterministic", "-", "Section IV enumeration with enhanced shape functions (no wire representation)")
+	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "rsf", "deterministic", "-", "Section IV enumeration with regular shape functions (no wire representation)")
 }
 
-// wireArgs carries the flag state into the wire-format path.
+// wireArgs carries the flag state into runWire.
 type wireArgs struct {
 	method           string
 	methodSet        bool
@@ -312,9 +240,9 @@ type wireArgs struct {
 	svgPath          string
 }
 
-// runWire is the CLI end of the wire format: assemble a wire.Request
-// from a JSON file or a benchmark, solve it through the same
-// service.Solve path the placed daemon uses, and report.
+// runWire runs every annealing method: assemble a wire.Request from a
+// JSON file or a benchmark, solve it through the same service.Solve
+// path the placed daemon uses, and report.
 func runWire(a wireArgs, stdout, stderr io.Writer) error {
 	var req *wire.Request
 	fromFile := a.jsonIn != ""
@@ -339,16 +267,16 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 			applyObjectiveFlags(&p.Objective, a.objective)
 		}
 		if a.method == "hbstar" && a.objective.WireWeight == 0 {
-			// Parity with the classic path: hbstar's historical default
-			// wire weight, not the flat placers' 1.0 Benchmark encodes.
+			// hbstar's historical default wire weight, not the flat
+			// placers' 1.0 Benchmark encodes.
 			p.Objective.WireWeight = hbstar.DefaultWireWeight
 		}
 		req = &wire.Request{Problem: wire.Problem{Version: wire.Version, Problem: *p}}
 	}
 	// A file request solves exactly as the daemon would solve the same
 	// bytes — CLI flags only override it when explicitly set. A
-	// benchmark run keeps the classic CLI defaults (method hbstar,
-	// seed 1, the historical schedule).
+	// benchmark run takes the CLI defaults (method hbstar, seed 1, the
+	// default schedule).
 	if a.methodSet || !fromFile {
 		if !wire.KnownMethod(a.method) {
 			return placer.ErrUnknownAlgorithm(a.method)
@@ -414,6 +342,9 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 	fmt.Fprintf(humanOut, "bounding box: %dx%d  area usage: %.2f%%  legal: %v  cost: %.4g  runtime: %dms\n",
 		res.BBoxW, res.BBoxH, 100*res.AreaUsage, res.Legal, res.Cost, res.RuntimeMS)
 	printWireBreakdown(humanOut, res.Breakdown)
+	if bd := res.Breakdown; bd != nil {
+		printOutline(humanOut, req.Problem.Objective, res.BBoxW, res.BBoxH, bd.Outline)
+	}
 	if res.Cancelled {
 		fmt.Fprintln(humanOut, "run cancelled: placement is best-so-far")
 	}
@@ -458,19 +389,6 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// printTermBreakdown reports a classic-path cost decomposition: each
-// term's weighted contribution, weights spelled out.
-func printTermBreakdown(w io.Writer, terms []cost.TermValue) {
-	if len(terms) == 0 {
-		return
-	}
-	parts := make([]string, len(terms))
-	for i, tv := range terms {
-		parts[i] = fmt.Sprintf("%s=%.4g", tv.Name, tv.Weight*tv.Value)
-	}
-	fmt.Fprintf(w, "cost breakdown: %s\n", strings.Join(parts, "  "))
-}
-
 // printWireBreakdown reports a wire result's named per-term fields
 // (weighted contributions; they sum to the result cost).
 func printWireBreakdown(w io.Writer, bd *wire.Breakdown) {
@@ -493,6 +411,65 @@ func printWireBreakdown(w io.Writer, bd *wire.Breakdown) {
 	if len(parts) > 0 {
 		fmt.Fprintf(w, "cost breakdown: %s\n", strings.Join(parts, "  "))
 	}
+}
+
+// printOutline reports a bounding box against the objective's fixed
+// outline, if it sets one; penalty is the outline term's cost.
+func printOutline(w io.Writer, obj placer.Objective, bbW, bbH int, penalty float64) {
+	if obj.OutlineW <= 0 || obj.OutlineH <= 0 {
+		return
+	}
+	exW, exH := outlineExcess(obj, bbW, bbH)
+	if exW == 0 && exH == 0 {
+		fmt.Fprintf(w, "outline %dx%d: bounding box fits\n", obj.OutlineW, obj.OutlineH)
+		return
+	}
+	fmt.Fprintf(w, "outline %dx%d: violated by %dx%d, penalty %.4g\n", obj.OutlineW, obj.OutlineH, exW, exH, penalty)
+}
+
+// outlineExcess returns how far a bounding box exceeds the outline in
+// each dimension.
+func outlineExcess(obj placer.Objective, bbW, bbH int) (exW, exH int) {
+	return max(0, bbW-obj.OutlineW), max(0, bbH-obj.OutlineH)
+}
+
+// runDeterministic places a benchmark with the Section IV enumeration
+// placer (esf: enhanced shape functions, rsf: regular ones). It
+// optimizes no tunable cost, so the objective only sets the outline it
+// is reported against.
+func runDeterministic(benchName, method string, obj placer.Objective, verbose bool, svgPath string, stdout io.Writer) error {
+	b, err := circuits.ByName(benchName)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	res, err := core.Deterministic(b, method == "esf")
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+	pl := res.Placement
+	bb := pl.BBox()
+	fmt.Fprintf(stdout, "bench=%s method=%s modules=%d\n", b.Name, method, len(pl))
+	fmt.Fprintf(stdout, "bounding box: %dx%d  area usage: %.2f%%  legal: %v  runtime: %s\n",
+		bb.W, bb.H, 100*pl.AreaUsage(), pl.Legal(), elapsed.Round(time.Millisecond))
+	ow := obj.OutlineWeight
+	if ow == 0 {
+		ow = cost.DefaultOutlineWeight(pl.ModuleArea())
+	}
+	exW, exH := outlineExcess(obj, bb.W, bb.H)
+	printOutline(stdout, obj, bb.W, bb.H, ow*(float64(exW)*float64(exW)+float64(exH)*float64(exH)))
+	printViolations(stdout, nil)
+	if verbose {
+		printCoords(stdout, pl)
+	}
+	if svgPath != "" {
+		if err := writeSVG(svgPath, pl); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "wrote", svgPath)
+	}
+	return nil
 }
 
 // decodeProblemOrRequest accepts either a bare wire Problem or a full
@@ -518,7 +495,7 @@ func readInput(path string) ([]byte, error) {
 
 // applyObjectiveFlags overlays explicitly-set CLI weights on a
 // benchmark-derived objective (zero flag values leave the benchmark's
-// defaults alone, matching the classic path's semantics).
+// defaults alone).
 func applyObjectiveFlags(dst *placer.Objective, flags placer.Objective) {
 	if flags.AreaWeight > 0 {
 		dst.AreaWeight = flags.AreaWeight
@@ -580,14 +557,6 @@ func writeOutput(path string, data []byte, stdout io.Writer) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func stringifyErrs(errs []error) []string {
-	out := make([]string, len(errs))
-	for i, e := range errs {
-		out[i] = e.Error()
-	}
-	return out
-}
-
 func writeSVG(path string, pl geom.Placement) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -595,14 +564,4 @@ func writeSVG(path string, pl geom.Placement) error {
 	}
 	defer f.Close()
 	return render.SVG(f, pl, render.Options{})
-}
-
-func pickBench(name string) (*circuits.Bench, error) {
-	switch name {
-	case "miller":
-		return circuits.MillerOpAmp(), nil
-	case "folded":
-		return circuits.FoldedCascode(), nil
-	}
-	return circuits.TableIBench(name)
 }

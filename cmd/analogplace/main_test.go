@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuits"
+	"repro/internal/geom"
 	"repro/internal/service"
 	"repro/internal/wire"
 	"repro/placer"
@@ -24,7 +26,7 @@ func cli(t *testing.T, args ...string) (string, error) {
 }
 
 // TestAlgorithmsFlag: -algorithms lists every registry engine, the
-// portfolio meta-method and the classic-only deterministic methods.
+// portfolio meta-method and the deterministic esf/rsf methods.
 func TestAlgorithmsFlag(t *testing.T) {
 	out, err := cli(t, "-algorithms")
 	if err != nil {
@@ -82,28 +84,28 @@ func TestGeneticEndToEnd(t *testing.T) {
 }
 
 // TestUnknownMethodSharedError: a typo'd method must fail with the
-// placer registry's one shared message, on the classic path and the
-// wire path alike (the daemon shares it through wire.Options.Validate
-// — see the service package's registry test).
+// placer registry's one shared message, with or without -json-out
+// (the daemon shares it through wire.Options.Validate — see the
+// service package's registry test).
 func TestUnknownMethodSharedError(t *testing.T) {
 	want := placer.ErrUnknownAlgorithm("sorcery").Error()
 	if _, err := cli(t, "-bench", "miller", "-method", "sorcery"); err == nil || err.Error() != want {
-		t.Errorf("classic path: got %v, want %q", err, want)
+		t.Errorf("plain run: got %v, want %q", err, want)
 	}
 	if _, err := cli(t, "-bench", "miller", "-method", "sorcery", "-json-out", os.DevNull); err == nil || err.Error() != want {
-		t.Errorf("wire path: got %v, want %q", err, want)
+		t.Errorf("-json-out run: got %v, want %q", err, want)
 	}
 }
 
-// TestBreakdownInTextOutput: both output paths surface the per-term
-// cost breakdown.
+// TestBreakdownInTextOutput: the human output surfaces the per-term
+// cost breakdown, with or without -json-out.
 func TestBreakdownInTextOutput(t *testing.T) {
 	out, err := cli(t, "-bench", "miller", "-method", "seqpair")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "cost breakdown:") || !strings.Contains(out, "hpwl=") {
-		t.Errorf("classic output misses the cost breakdown:\n%s", out)
+		t.Errorf("plain output misses the cost breakdown:\n%s", out)
 	}
 	out, err = cli(t, "-bench", "miller", "-method", "seqpair",
 		"-json-out", filepath.Join(t.TempDir(), "res.json"))
@@ -111,7 +113,7 @@ func TestBreakdownInTextOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "cost breakdown:") || !strings.Contains(out, "area=") {
-		t.Errorf("wire output misses the cost breakdown:\n%s", out)
+		t.Errorf("-json-out output misses the cost breakdown:\n%s", out)
 	}
 }
 
@@ -206,12 +208,64 @@ func TestFlagValidation(t *testing.T) {
 		{"-outline", "400x300junk"},
 		{"-json", ""},
 		{"-method", "esf", "-json-out", "-"},
-		{"-method", "portfolio"},
 		{"-json-req", "-", "-json-out", "-"},
 	}
 	for _, args := range cases {
 		if _, err := cli(t, args...); err == nil {
 			t.Errorf("%v: accepted, want error", args)
+		}
+	}
+}
+
+// TestPlainMatchesJSONOut: for every registered algorithm and the
+// portfolio, the coordinates a plain -v run prints are the placement
+// -json-out writes for the same flags.
+func TestPlainMatchesJSONOut(t *testing.T) {
+	methods := []string{wire.MethodPortfolio}
+	for _, info := range placer.Algorithms() {
+		methods = append(methods, info.Name)
+	}
+	for _, method := range methods {
+		plain, err := cli(t, "-bench", "miller", "-method", method, "-v")
+		if err != nil {
+			t.Fatalf("%s plain: %v", method, err)
+		}
+		resPath := filepath.Join(t.TempDir(), "res.json")
+		if _, err := cli(t, "-bench", "miller", "-method", method, "-json-out", resPath); err != nil {
+			t.Fatalf("%s -json-out: %v", method, err)
+		}
+		got := strings.Join(coordLines(plain), "\n")
+		want := strings.Join(coordLines(printed(t, placementOf(readResult(t, resPath)))), "\n")
+		if got != want {
+			t.Errorf("%s: plain coordinates\n%s\n-json-out placement\n%s", method, got, want)
+		}
+	}
+}
+
+// printed renders a placement as -v does.
+func printed(t *testing.T, pl geom.Placement) string {
+	t.Helper()
+	var b bytes.Buffer
+	printCoords(&b, pl)
+	return b.String()
+}
+
+// TestUnknownBenchOneMessage: an unknown -bench fails with one message
+// for the annealing methods, with or without -json-out, and for the
+// deterministic ones.
+func TestUnknownBenchOneMessage(t *testing.T) {
+	_, want := circuits.ByName("nosuch")
+	if want == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+	for _, args := range [][]string{
+		{"-method", "seqpair"},
+		{"-method", "seqpair", "-json-out", os.DevNull},
+		{"-method", "esf"},
+	} {
+		_, err := cli(t, append([]string{"-bench", "nosuch"}, args...)...)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%v: got %v, want %q", args, err, want)
 		}
 	}
 }

@@ -24,9 +24,12 @@
 //     (internal/perf), layout templates (internal/template) and
 //     parasitic extraction (internal/extract).
 //
-// internal/core ties everything together behind one API and hosts the
-// drivers that regenerate each table and figure; the benchmarks in
-// this package (bench_test.go) exercise them. The commands cmd/table1,
+// The placer package is the one API over every annealing approach:
+// an engine registry behind placer.Solve, which cmd/analogplace and
+// the placed daemon both drive. internal/core hosts the drivers that
+// regenerate each table and figure and the entry to the Section IV
+// deterministic placer; the benchmarks in this package
+// (bench_test.go) exercise them. The commands cmd/table1,
 // cmd/fig8, cmd/fig10 and cmd/lemma run the drivers from the command
 // line, and PERFORMANCE.md records measured performance.
 //
@@ -94,9 +97,8 @@
 // verification; the property tests in internal/place and
 // internal/cost pin incremental-equals-full with tolerance zero.
 // place.Problem (flat placers) and hbstar.Problem (hierarchical)
-// carry the per-term weights; core.PlaceBenchObjective and
-// cmd/analogplace's -outline/-thermal/-prox/-wire/-area flags thread
-// them from the top.
+// carry the per-term weights; placer.Objective and cmd/analogplace's
+// -outline/-thermal/-prox/-wire/-area flags thread them from the top.
 //
 // Packing — the annealer's dominant inner operation — is
 // allocation-free at steady state through reusable workspaces:

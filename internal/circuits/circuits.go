@@ -16,6 +16,7 @@ package circuits
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/constraint"
 	"repro/internal/netlist"
@@ -240,6 +241,30 @@ func TableIBench(name string) (*Bench, error) {
 		}
 	}
 	return nil, fmt.Errorf("circuits: unknown Table I benchmark %q", name)
+}
+
+// BenchNames lists the names ByName accepts, sorted.
+func BenchNames() []string {
+	names := append([]string{"miller", "folded"}, TableINames()...)
+	sort.Strings(names)
+	return names
+}
+
+// ByName builds a benchmark by name: "miller" (the Miller op amp of
+// Fig. 6), "folded" (the folded-cascode op amp) or a Table I name.
+// Every name lookup goes through it, so an unknown name fails with one
+// message.
+func ByName(name string) (*Bench, error) {
+	switch name {
+	case "miller":
+		return MillerOpAmp(), nil
+	case "folded":
+		return FoldedCascode(), nil
+	}
+	if b, err := TableIBench(name); err == nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("circuits: unknown benchmark %q (have %v)", name, BenchNames())
 }
 
 // TableIBenches builds all six Table I benchmarks.

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/constraint"
@@ -134,6 +135,20 @@ func TestTableIBenchDeterministic(t *testing.T) {
 func TestTableIBenchUnknown(t *testing.T) {
 	if _, err := TableIBench("nope"); err == nil {
 		t.Fatal("unknown benchmark must fail")
+	}
+}
+
+// TestByName: every listed name resolves, and an unknown one fails
+// with the list of valid names.
+func TestByName(t *testing.T) {
+	for _, name := range BenchNames() {
+		if _, err := ByName(name); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	_, err := ByName("nope")
+	if err == nil || !strings.Contains(err.Error(), "lnamixbias") {
+		t.Fatalf("unknown benchmark: got %v, want an error listing the names", err)
 	}
 }
 

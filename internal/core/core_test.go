@@ -7,118 +7,24 @@ import (
 	"repro/internal/circuits"
 )
 
-func fastOpts(seed int64) anneal.Options {
-	return anneal.Options{Seed: seed, MovesPerStage: 40, MaxStages: 60, StallStages: 15}
-}
-
-func TestPlaceBenchAllMethods(t *testing.T) {
+// TestDeterministicMiller: ESF and RSF place every device of the
+// Miller op amp legally.
+func TestDeterministicMiller(t *testing.T) {
 	b := circuits.MillerOpAmp()
-	for _, m := range []Method{
-		MethodSeqPair, MethodBStar, MethodHBStar, MethodTCG,
-		MethodSlicing, MethodDeterministicESF, MethodDeterministicRSF,
-	} {
-		res, err := PlaceBench(b, m, fastOpts(1))
+	for _, enhanced := range []bool{true, false} {
+		res, err := Deterministic(b, enhanced)
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("enhanced=%v: %v", enhanced, err)
 		}
-		if !res.Legal {
-			t.Errorf("%v: illegal placement", m)
+		pl := res.Placement
+		if !pl.Legal() {
+			t.Errorf("enhanced=%v: illegal placement", enhanced)
 		}
-		if len(res.Placement) != len(b.Circuit.Devices) {
-			t.Errorf("%v: placement misses devices", m)
+		if len(pl) != len(b.Circuit.Devices) {
+			t.Errorf("enhanced=%v: placed %d of %d devices", enhanced, len(pl), len(b.Circuit.Devices))
 		}
-		if res.AreaUsage < 1 {
-			t.Errorf("%v: area usage %.3f below 1 is impossible", m, res.AreaUsage)
-		}
-	}
-}
-
-// TestPlaceBenchObjectiveOutline pins the objective threading: a
-// requested fixed outline always yields an OutlineReport, a generous
-// outline is met, and a default-objective run reports none.
-func TestPlaceBenchObjectiveOutline(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	plain, err := PlaceBench(b, MethodSeqPair, fastOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Outline != nil {
-		t.Fatal("default objective must not report an outline")
-	}
-	bb := plain.Placement.BBox()
-
-	for _, m := range []Method{MethodSeqPair, MethodBStar, MethodHBStar} {
-		obj := &Objective{OutlineW: 2 * bb.W, OutlineH: 2 * bb.H}
-		res, err := PlaceBenchObjective(b, m, fastOpts(2), obj)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		o := res.Outline
-		if o == nil {
-			t.Fatalf("%v: outline requested but not reported", m)
-		}
-		if !o.Fits() || o.Penalty != 0 {
-			t.Errorf("%v: generous outline %dx%d violated by %dx%d (penalty %v)",
-				m, o.W, o.H, o.ExcessW, o.ExcessH, o.Penalty)
-		}
-	}
-
-	// An impossible outline must be reported as violated with a
-	// positive penalty, not silently dropped.
-	res, err := PlaceBenchObjective(b, MethodSeqPair, fastOpts(2), &Objective{OutlineW: 1, OutlineH: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := res.Outline; o == nil || o.Fits() || o.Penalty <= 0 {
-		t.Fatalf("impossible outline: report %+v, want violated with positive penalty", res.Outline)
-	}
-}
-
-// TestPlaceBenchObjectiveThermal pins that the thermal and proximity
-// weights reach the placers without breaking constraints.
-func TestPlaceBenchObjectiveThermal(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	obj := &Objective{ThermalWeight: 2, ProxWeight: 0.5}
-	for _, m := range []Method{MethodSeqPair, MethodHBStar} {
-		res, err := PlaceBenchObjective(b, m, fastOpts(3), obj)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !res.Legal {
-			t.Errorf("%v: illegal placement under thermal objective", m)
-		}
-	}
-}
-
-func TestPlaceBenchAbsoluteMayOverlap(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	res, err := PlaceBench(b, MethodAbsolute, fastOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Absolute placement is allowed to be illegal; the result must
-	// still cover all devices.
-	if len(res.Placement) != len(b.Circuit.Devices) {
-		t.Fatal("absolute placement misses devices")
-	}
-}
-
-func TestPlaceBenchUnknownMethod(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	if _, err := PlaceBench(b, Method(99), fastOpts(1)); err == nil {
-		t.Fatal("unknown method must fail")
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	names := map[Method]string{
-		MethodSeqPair: "seqpair", MethodBStar: "bstar", MethodHBStar: "hbstar",
-		MethodSlicing: "slicing", MethodAbsolute: "absolute", MethodTCG: "tcg",
-		MethodDeterministicESF: "esf", MethodDeterministicRSF: "rsf",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
+		if pl.AreaUsage() < 1 {
+			t.Errorf("enhanced=%v: area usage %.3f below 1 is impossible", enhanced, pl.AreaUsage())
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"math/big"
 	"time"
 
-	"repro/internal/anneal"
 	"repro/internal/circuits"
 	"repro/internal/seqpair"
-	"repro/internal/shapefn"
 )
 
 // TableIRow is one line of the paper's Table I: ESF versus RSF on one
@@ -36,31 +34,37 @@ func RunTableI(names []string) ([]TableIRow, error) {
 			return nil, err
 		}
 		row := TableIRow{Name: name, Modules: len(bench.Circuit.Devices)}
-
-		esf, err := PlaceBench(bench, MethodDeterministicESF, anneal.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("core: %s ESF: %v", name, err)
+		if row.ESFUsage, row.ESFTime, err = tableIRun(bench, true); err != nil {
+			return nil, err
 		}
-		if !esf.Legal {
-			return nil, fmt.Errorf("core: %s ESF produced an illegal placement", name)
+		if row.RSFUsage, row.RSFTime, err = tableIRun(bench, false); err != nil {
+			return nil, err
 		}
-		row.ESFUsage, row.ESFTime = esf.AreaUsage, esf.Runtime
-
-		rsf, err := PlaceBench(bench, MethodDeterministicRSF, anneal.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("core: %s RSF: %v", name, err)
-		}
-		if !rsf.Legal {
-			return nil, fmt.Errorf("core: %s RSF produced an illegal placement", name)
-		}
-		row.RSFUsage, row.RSFTime = rsf.AreaUsage, rsf.Runtime
-
 		if row.RSFUsage > 0 {
 			row.Improvement = (row.RSFUsage - row.ESFUsage) / row.RSFUsage
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// tableIRun places one Table I circuit deterministically and returns
+// its area usage and runtime.
+func tableIRun(b *circuits.Bench, enhanced bool) (float64, time.Duration, error) {
+	label := "RSF"
+	if enhanced {
+		label = "ESF"
+	}
+	start := time.Now()
+	res, err := Deterministic(b, enhanced)
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: %s %s: %v", b.Name, label, err)
+	}
+	elapsed := time.Since(start)
+	if !res.Placement.Legal() {
+		return 0, 0, fmt.Errorf("core: %s %s produced an illegal placement", b.Name, label)
+	}
+	return res.Placement.AreaUsage(), elapsed, nil
 }
 
 // ShapeCurve is one (w, h) staircase of a shape function, the data
@@ -76,11 +80,7 @@ func RunFig8(name string) (esf, rsf ShapeCurve, err error) {
 		return nil, nil, err
 	}
 	curve := func(enhanced bool) (ShapeCurve, error) {
-		p, err := shapefn.NewPlacer(bench.Tree, benchDims(bench), enhanced)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Place(bench.Tree)
+		res, err := Deterministic(bench, enhanced)
 		if err != nil {
 			return nil, err
 		}

@@ -72,8 +72,8 @@ func (f *Forest) PerturbUndoable(rng *rand.Rand, u *ForestUndo) {
 }
 
 // DefaultWireWeight is the hierarchical placer's historical HPWL
-// weight — the one default shared by core.PlaceBenchObjective and the
-// CLI's wire mode, so every path that wants "classic hbstar" agrees.
+// weight, which cmd/analogplace applies to benchmark runs of hbstar
+// unless -wire overrides it.
 const DefaultWireWeight = 0.5
 
 // Problem is a hierarchical placement instance. Its objective is the

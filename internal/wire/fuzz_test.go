@@ -133,3 +133,68 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBatchRequest fuzzes the batch decoder: arbitrary bytes
+// must never panic, and every item of a decoded batch must reach a
+// canonical fixed point — re-submitting the items' canonical
+// encodings as a batch decodes to the same canonical items — with
+// HashNormalized agreeing with Hash. A two-item batch of the Miller
+// pin request seeds the corpus.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	pin, err := os.ReadFile(filepath.Join("..", "..", "placer", "testdata", "pin_miller_seqpair_request.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"items":[` + string(pin) + `,` + string(pin) + `]}`))
+	for _, s := range []string{
+		``,
+		`{}`,
+		`{"items":[]}`,
+		`{"items":[{}]}`,
+		`{"items":[` + embeddedKeyBody + `]}`,
+		`{"items":[{"problem":{"modules":[{"name":"A","w":4,"h":2}],"objective":{}},"options":{"method":"bstar"}},` +
+			`{"problem":{"modules":[{"name":"B","w":2,"h":4}],"objective":{}},"options":{"seed":7,"timeout_ms":5}}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBatchRequest(data) // must not panic, ever
+		if err != nil {
+			return
+		}
+		canon := make([][]byte, len(b.Items))
+		for i := range b.Items {
+			if canon[i], err = b.Items[i].Canonical(); err != nil {
+				t.Fatalf("decoded item %d fails to encode: %v\ninput: %q", i, err, data)
+			}
+			h, err := b.Items[i].Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hn, err := b.Items[i].HashNormalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != hn {
+				t.Fatalf("item %d: HashNormalized %s disagrees with Hash %s\ninput: %q", i, hn, h, data)
+			}
+		}
+		again := []byte(`{"items":[` + string(bytes.Join(canon, []byte(","))) + `]}`)
+		b2, err := DecodeBatchRequest(again)
+		if err != nil {
+			t.Fatalf("canonical items fail to decode as a batch: %v\nbatch: %s", err, again)
+		}
+		if len(b2.Items) != len(b.Items) {
+			t.Fatalf("re-decoded batch has %d items, want %d", len(b2.Items), len(b.Items))
+		}
+		for i := range b2.Items {
+			c2, err := b2.Items[i].Canonical()
+			if err != nil {
+				t.Fatalf("re-decoded item %d fails to encode: %v", i, err)
+			}
+			if !bytes.Equal(canon[i], c2) {
+				t.Fatalf("item %d: canonical encoding not a fixed point:\nfirst:  %s\nsecond: %s", i, canon[i], c2)
+			}
+		}
+	})
+}

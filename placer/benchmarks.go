@@ -1,11 +1,6 @@
 package placer
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/circuits"
-)
+import "repro/internal/circuits"
 
 // Benchmark returns one of the paper's built-in benchmark circuits as
 // a canonical Problem (flat view plus design hierarchy): "miller"
@@ -16,7 +11,7 @@ import (
 // consumers build Problem values directly or decode them from the
 // wire format.
 func Benchmark(name string) (*Problem, error) {
-	b, err := benchCircuit(name)
+	b, err := circuits.ByName(name)
 	if err != nil {
 		return nil, err
 	}
@@ -24,22 +19,4 @@ func Benchmark(name string) (*Problem, error) {
 }
 
 // BenchmarkNames lists the names Benchmark accepts, sorted.
-func BenchmarkNames() []string {
-	names := append([]string{"miller", "folded"}, circuits.TableINames()...)
-	sort.Strings(names)
-	return names
-}
-
-func benchCircuit(name string) (*circuits.Bench, error) {
-	switch name {
-	case "miller":
-		return circuits.MillerOpAmp(), nil
-	case "folded":
-		return circuits.FoldedCascode(), nil
-	}
-	b, err := circuits.TableIBench(name)
-	if err != nil {
-		return nil, fmt.Errorf("placer: unknown benchmark %q (have %v)", name, BenchmarkNames())
-	}
-	return b, nil
-}
+func BenchmarkNames() []string { return circuits.BenchNames() }

@@ -166,3 +166,105 @@ func TestSolveHierarchicalFromFlat(t *testing.T) {
 		t.Fatalf("hbstar on synthesized hierarchy violates constraints: %v", res.Violations)
 	}
 }
+
+// fast is the schedule of the engine-coverage tests below: long
+// enough that every engine settles on miller.
+var fast = placer.WithSchedule(placer.Schedule{MovesPerStage: 40, MaxStages: 60, StallStages: 15})
+
+// builtinEngines lists the registered algorithms, minus the fakes
+// other tests register.
+func builtinEngines() []string {
+	var names []string
+	for _, info := range placer.Algorithms() {
+		if !strings.HasPrefix(info.Name, "x-test-") {
+			names = append(names, info.Name)
+		}
+	}
+	return names
+}
+
+// outlineCost returns the outline term's share of a result's cost and
+// whether the term is present.
+func outlineCost(res *placer.Result) (float64, bool) {
+	for _, tc := range res.Breakdown {
+		if tc.Name == "outline" {
+			return tc.Cost, true
+		}
+	}
+	return 0, false
+}
+
+// TestEveryEngineSolvesMiller: every registered engine places every
+// module of miller, and every placement is legal except those of the
+// absolute-coordinate engines, which may overlap.
+func TestEveryEngineSolvesMiller(t *testing.T) {
+	mayOverlap := map[string]bool{placer.Absolute: true, placer.GeneticAbsolute: true}
+	for _, algo := range builtinEngines() {
+		res, err := placer.Solve(t.Context(), miller(t), fast, placer.WithSeed(1), placer.WithAlgorithm(algo))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if len(res.Placement) != 9 {
+			t.Errorf("%s: placed %d modules, want 9", algo, len(res.Placement))
+		}
+		if mayOverlap[algo] {
+			continue
+		}
+		if !res.Legal {
+			t.Errorf("%s: illegal placement", algo)
+		}
+		if res.AreaUsage < 1 {
+			t.Errorf("%s: area usage %.3f below 1 is impossible", algo, res.AreaUsage)
+		}
+	}
+}
+
+// TestSolveOutlineTerm: the default objective carries no outline term;
+// a generous outline is met at zero cost by seqpair, bstar and hbstar,
+// and an impossible one costs a positive penalty.
+func TestSolveOutlineTerm(t *testing.T) {
+	plain, err := placer.Solve(t.Context(), miller(t), fast, placer.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := outlineCost(plain); ok {
+		t.Fatal("default objective must not carry an outline term")
+	}
+	for _, algo := range []string{placer.SeqPair, placer.BStar, placer.HBStar} {
+		p := miller(t)
+		p.Objective.OutlineW, p.Objective.OutlineH = 2*plain.BBoxW, 2*plain.BBoxH
+		res, err := placer.Solve(t.Context(), p, fast, placer.WithSeed(2), placer.WithAlgorithm(algo))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if c, ok := outlineCost(res); !ok || c != 0 {
+			t.Errorf("%s: generous outline %dx%d: term present=%v cost %v, bbox %dx%d",
+				algo, p.Objective.OutlineW, p.Objective.OutlineH, ok, c, res.BBoxW, res.BBoxH)
+		}
+	}
+	p := miller(t)
+	p.Objective.OutlineW, p.Objective.OutlineH = 1, 1
+	res, err := placer.Solve(t.Context(), p, fast, placer.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := outlineCost(res); !ok || c <= 0 {
+		t.Fatalf("impossible outline: term present=%v cost %v, want a positive penalty", ok, c)
+	}
+}
+
+// TestSolveThermalProxLegal: thermal and proximity weights reach the
+// engines without breaking legality.
+func TestSolveThermalProxLegal(t *testing.T) {
+	for _, algo := range []string{placer.SeqPair, placer.HBStar} {
+		p := miller(t)
+		p.Objective.ThermalWeight, p.Objective.ProxWeight = 2, 0.5
+		res, err := placer.Solve(t.Context(), p, fast, placer.WithSeed(3), placer.WithAlgorithm(algo))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if !res.Legal {
+			t.Errorf("%s: illegal placement under thermal objective", algo)
+		}
+	}
+}
