@@ -194,12 +194,17 @@ func outlineCost(res *placer.Result) (float64, bool) {
 	return 0, false
 }
 
-// TestEveryEngineSolvesMiller: every registered engine places every
-// module of miller, and every placement is legal except those of the
-// absolute-coordinate engines, which may overlap.
+// absoluteEngines are the engines placing modules at free coordinates;
+// their placements may overlap.
+var absoluteEngines = map[string]bool{placer.Absolute: true, placer.GeneticAbsolute: true}
+
+// TestEveryEngineSolvesMiller: every registered engine other than the
+// absolute-coordinate ones places every module of miller legally.
 func TestEveryEngineSolvesMiller(t *testing.T) {
-	mayOverlap := map[string]bool{placer.Absolute: true, placer.GeneticAbsolute: true}
 	for _, algo := range builtinEngines() {
+		if absoluteEngines[algo] {
+			continue
+		}
 		res, err := placer.Solve(t.Context(), miller(t), fast, placer.WithSeed(1), placer.WithAlgorithm(algo))
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -207,14 +212,25 @@ func TestEveryEngineSolvesMiller(t *testing.T) {
 		if len(res.Placement) != 9 {
 			t.Errorf("%s: placed %d modules, want 9", algo, len(res.Placement))
 		}
-		if mayOverlap[algo] {
-			continue
-		}
 		if !res.Legal {
 			t.Errorf("%s: illegal placement", algo)
 		}
 		if res.AreaUsage < 1 {
 			t.Errorf("%s: area usage %.3f below 1 is impossible", algo, res.AreaUsage)
+		}
+	}
+}
+
+// TestAbsoluteEnginesMayOverlap: the absolute-coordinate engines may
+// return an overlapping placement, but it still covers every module.
+func TestAbsoluteEnginesMayOverlap(t *testing.T) {
+	for algo := range absoluteEngines {
+		res, err := placer.Solve(t.Context(), miller(t), fast, placer.WithSeed(2), placer.WithAlgorithm(algo))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if len(res.Placement) != 9 {
+			t.Errorf("%s: placed %d modules, want 9", algo, len(res.Placement))
 		}
 	}
 }
