@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -54,11 +53,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tr, err := decodeTrace(data)
+	tr, err := wire.DecodeTrace(data)
 	if err != nil {
-		return err
-	}
-	if err := tr.Validate(); err != nil {
 		return err
 	}
 
@@ -83,24 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "placetrace: wrote %s (%d events, method %s)\n", *out, len(tr.Events), tr.Method)
+		fmt.Fprintf(stderr, "placetrace: wrote %s (%d events, method %s)\n", *out, len(tr.Events), tr.Algorithm)
 	}
 	return nil
-}
-
-// decodeTrace accepts either a bare wire.Trace or a wire.Result whose
-// trace field carries one, so daemon job bodies pipe straight in.
-func decodeTrace(data []byte) (*wire.Trace, error) {
-	var tr wire.Trace
-	if err := json.Unmarshal(data, &tr); err != nil {
-		return nil, fmt.Errorf("not trace JSON: %w", err)
-	}
-	if len(tr.Events) > 0 {
-		return &tr, nil
-	}
-	var res wire.Result
-	if err := json.Unmarshal(data, &res); err == nil && res.Trace != nil && len(res.Trace.Events) > 0 {
-		return res.Trace, nil
-	}
-	return nil, fmt.Errorf("input carries no trace events (was the solve run with tracing enabled?)")
 }

@@ -270,9 +270,13 @@
 // recording — including failpoint and worker-crash provenance from
 // the fault-tolerance layer — is served as versioned, schema-checked
 // JSON (wire.Trace.Validate) at GET /v1/jobs/{id}/trace; 409 until
-// the job is terminal. The CLI writes the same JSON via analogplace
-// -trace-out, and cmd/placetrace renders it as an SVG chart of
-// per-rung cost trajectories, acceptance rates and exchange markers.
+// the job is terminal. The wire trace is placer.Trace behind a format
+// version, and placer.TraceEventFromObs is the one conversion from a
+// recorder record to a trace event, shared by completed traces and
+// the live SSE stream below. The CLI writes the same JSON via
+// analogplace -trace-out, and cmd/placetrace (wire.DecodeTrace)
+// renders it as an SVG chart of per-rung cost trajectories,
+// acceptance rates and exchange markers.
 // placed also logs structured slog lines for every request and job
 // transition, exports placed_queue_depth and
 // placed_solve_latency_ewma_seconds gauges on /metrics, and mounts
@@ -297,7 +301,8 @@
 // and fans them into jobs, with identical items coalescing onto a
 // single solve — correct by construction via the same hash. GET
 // /v1/jobs/{id} with Accept: text/event-stream streams the solve
-// live over SSE: flight-recorder events straight from the ring,
+// live over SSE: flight-recorder events straight from the ring, each
+// spelled as the completed trace spells it (placer.TraceEvent),
 // progress snapshots, a final done event — observation without
 // perturbation, determinism pins hold with streams attached.
 // Admission is per-tenant: the X-API-Key header names the tenant,

@@ -122,7 +122,7 @@ func ChartSVG(w io.Writer, tr *wire.Trace) error {
 		chartW, height, chartW, height)
 	p(`<rect width="100%%" height="100%%" fill="white"/>` + "\n")
 	p(`<text x="%.1f" y="%.1f" font-size="13" font-family="sans-serif">cost by stage — %s (capacity %d, dropped %d)</text>`+"\n",
-		chartMarginL, chartMarginT-10, tr.Method, tr.Capacity, tr.Dropped)
+		chartMarginL, chartMarginT-10, tr.Algorithm, tr.Capacity, tr.Dropped)
 
 	// Panel frames and extremal tick labels.
 	p(`<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" stroke="#888"/>`+"\n",

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // fleetConfig builds a Config whose result and job stores live on a
@@ -251,7 +252,7 @@ func TestSSEJobStream(t *testing.T) {
 			}
 		case "stage":
 			stage++
-			var te wire.TraceEvent
+			var te placer.TraceEvent
 			if err := json.Unmarshal([]byte(e.data), &te); err != nil {
 				t.Fatalf("bad stage event: %v\n%s", err, e.data)
 			}
@@ -527,7 +528,7 @@ func TestRetainedEngineTraces(t *testing.T) {
 	}
 	for _, tr := range v.Result.EngineTraces {
 		if len(tr.Events) > 256 {
-			t.Fatalf("engine trace %q has %d events, over the cap", tr.Method, len(tr.Events))
+			t.Fatalf("engine trace %q has %d events, over the cap", tr.Algorithm, len(tr.Events))
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("engine trace invalid: %v", err)

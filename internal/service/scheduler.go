@@ -166,19 +166,7 @@ func (j *Job) Trace() (*wire.Trace, bool) {
 	if j.result != nil {
 		tr = j.result.Trace
 	}
-	if len(j.faults) == 0 {
-		return tr, true
-	}
-	merged := &wire.Trace{Version: wire.Version}
-	if tr != nil {
-		*merged = *tr
-	}
-	events := make([]wire.TraceEvent, 0, len(j.faults)+len(merged.Events))
-	for _, point := range j.faults {
-		events = append(events, wire.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point})
-	}
-	merged.Events = append(events, merged.Events...)
-	return merged, true
+	return prependFailpoints(tr, j.faults), true
 }
 
 // Err returns the failure message of a failed job.
@@ -1051,19 +1039,7 @@ func TraceFromRecord(rec *store.JobRecord) *wire.Trace {
 	if rec.Result != nil {
 		tr = rec.Result.Trace
 	}
-	if len(rec.Faults) == 0 {
-		return tr
-	}
-	merged := &wire.Trace{Version: wire.Version}
-	if tr != nil {
-		*merged = *tr
-	}
-	events := make([]wire.TraceEvent, 0, len(rec.Faults)+len(merged.Events))
-	for _, point := range rec.Faults {
-		events = append(events, wire.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point})
-	}
-	merged.Events = append(events, merged.Events...)
-	return merged
+	return prependFailpoints(tr, rec.Faults)
 }
 
 // retireLocked records a solved job that just reached a terminal

@@ -77,21 +77,16 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 	// the placer refactor, so clients learn which representation won.
 	out := wireResult(&req.Problem, res.Algorithm, res)
 	out.RuntimeMS = time.Since(start).Milliseconds()
-	if tr := wire.TraceFromPlacer(res.Trace); tr != nil {
+	if res.Trace != nil {
 		// Solve-path failpoints fire before any chain exists; they lead
-		// the recording with worker/stage -1 so chaos runs are visible
-		// in the same trace that explains the solve.
-		for i, point := range fired {
-			tr.Events = append(tr.Events, wire.TraceEvent{})
-			copy(tr.Events[i+1:], tr.Events[i:])
-			tr.Events[i] = wire.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point}
-		}
-		out.Trace = tr
+		// the recording so chaos runs are visible in the same trace that
+		// explains the solve.
+		out.Trace = prependFailpoints(&wire.Trace{Version: wire.Version, Trace: *res.Trace}, fired)
 	}
 	// Portfolio races carry every racer's (capped) recording alongside
 	// the winner's full trace.
 	for _, et := range res.EngineTraces {
-		out.EngineTraces = append(out.EngineTraces, wire.TraceFromPlacer(et))
+		out.EngineTraces = append(out.EngineTraces, &wire.Trace{Version: wire.Version, Trace: *et})
 	}
 	return out, nil
 }
@@ -126,7 +121,7 @@ func injectSolveFaults(ctx context.Context) (fired []string, err error) {
 
 // wireResult encodes a placer result onto the wire.
 func wireResult(p *wire.Problem, method string, res *placer.Result) *wire.Result {
-	out := &wire.Result{
+	return &wire.Result{
 		Version:    wire.Version,
 		Name:       p.Name,
 		Method:     method,
@@ -140,12 +135,31 @@ func wireResult(p *wire.Problem, method string, res *placer.Result) *wire.Result
 		Cancelled:  res.Cancelled,
 		Stages:     res.Stages,
 		Moves:      res.Moves,
+		// Wire placements list modules in problem order (placer.Result
+		// already does), so byte-equal results mean identical placements.
+		Placement: res.Placement,
 	}
-	// Wire placements list modules in problem order (placer.Result
-	// already does), so byte-equal results mean identical placements.
-	for _, m := range res.Placement {
-		out.Placement = append(out.Placement, wire.Placed(m))
+}
+
+// prependFailpoints returns tr led by one failpoint event per point,
+// outside any chain (worker and stage -1), in firing order. It is how
+// solve-path failpoints and the worker crashes a job survived enter
+// its recording. With points to add it returns a fresh trace (a bare
+// header when tr is nil) and never mutates tr, which may be a stored
+// result's; with none it returns tr itself.
+func prependFailpoints(tr *wire.Trace, points []string) *wire.Trace {
+	if len(points) == 0 {
+		return tr
 	}
+	out := &wire.Trace{Version: wire.Version}
+	if tr != nil {
+		*out = *tr
+	}
+	events := make([]placer.TraceEvent, 0, len(points)+len(out.Events))
+	for _, point := range points {
+		events = append(events, placer.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point})
+	}
+	out.Events = append(events, out.Events...)
 	return out
 }
 

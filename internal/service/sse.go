@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/wire"
+	"repro/placer"
 )
 
 // sseTick is how often a job stream polls the job's ring and progress
@@ -28,7 +27,10 @@ func wantsEventStream(r *http.Request) bool {
 //
 //   - flight-recorder events, live from the solve's ring as they are
 //     recorded, named by their kind ("stage", "exchange", ...) with
-//     the ring sequence as the SSE id;
+//     the ring sequence as the SSE id; the data is the event as
+//     placer.TraceEventFromObs spells it, the same conversion the
+//     completed trace goes through, so a client decodes both with
+//     placer.TraceEvent;
 //   - "progress" events carrying the aggregated Progress snapshot
 //     whenever it changes;
 //   - one final "done" event carrying the terminal JobView.
@@ -65,7 +67,7 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 		}
 		for _, e := range ring.Since(cursor) {
 			cursor = e.Seq + 1
-			b, err := json.Marshal(wireEventFromObs(e))
+			b, err := json.Marshal(placer.TraceEventFromObs(e))
 			if err != nil {
 				continue
 			}
@@ -109,52 +111,4 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 			}
 		}
 	}
-}
-
-// wireEventFromObs converts one live ring event to the wire trace
-// event shape — the same mapping the completed trace goes through
-// (placer trace → wire.TraceFromPlacer), so a client can decode both
-// with one type.
-func wireEventFromObs(e obs.Event) wire.TraceEvent {
-	we := wire.TraceEvent{
-		Kind:     e.Kind.String(),
-		Worker:   int(e.Worker),
-		Stage:    int(e.Stage),
-		Temp:     finiteFloat(e.Temp),
-		Best:     finiteFloat(e.Best),
-		Cur:      finiteFloat(e.Cur),
-		Moves:    e.Moves,
-		Accepted: e.Accepted,
-		Improved: e.Improved,
-		PeerTemp: finiteFloat(e.PeerTemp),
-		PeerCost: finiteFloat(e.PeerCost),
-		Accept:   e.Accept,
-		Point:    e.Point,
-	}
-	if e.Kind == obs.EventExchange {
-		we.Peer = int(e.Peer)
-	}
-	if n := int(e.NKinds); n > 0 {
-		we.KindProposed = make([]int64, n)
-		we.KindAccepted = make([]int64, n)
-		for i := 0; i < n; i++ {
-			we.KindProposed[i] = int64(e.KindProposed[i])
-			we.KindAccepted[i] = int64(e.KindAccepted[i])
-		}
-	}
-	return we
-}
-
-// finiteFloat clamps IEEE specials for JSON, mirroring the wire
-// package's trace encoding (+Inf costs price infeasible early states).
-func finiteFloat(v float64) float64 {
-	switch {
-	case math.IsNaN(v):
-		return 0
-	case math.IsInf(v, 1):
-		return math.MaxFloat64
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
-	}
-	return v
 }

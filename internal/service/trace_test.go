@@ -57,8 +57,8 @@ func TestTraceEndpointE2E(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace fails schema validation: %v", err)
 	}
-	if tr.Version != wire.Version || tr.Method != wire.MethodSeqPair {
-		t.Fatalf("trace header version=%d method=%q", tr.Version, tr.Method)
+	if tr.Version != wire.Version || tr.Algorithm != wire.MethodSeqPair {
+		t.Fatalf("trace header version=%d method=%q", tr.Version, tr.Algorithm)
 	}
 	rungs := map[int]bool{}
 	exchanges := 0

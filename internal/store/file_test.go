@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 func TestFilePersistsAcrossReopen(t *testing.T) {
@@ -140,7 +141,7 @@ func TestTypedAdapters(t *testing.T) {
 				Version:   wire.Version,
 				Method:    wire.MethodSeqPair,
 				Cost:      42.5,
-				Placement: []wire.Placed{{Name: "m1", X: 1, Y: 2, W: 3, H: 4}},
+				Placement: []placer.Placed{{Name: "m1", X: 1, Y: 2, W: 3, H: 4}},
 			}
 			rc := NewResultCache(mk(), 0)
 			if err := rc.Put("hash1", res); err != nil {

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -195,6 +197,65 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			if !bytes.Equal(canon[i], c2) {
 				t.Fatalf("item %d: canonical encoding not a fixed point:\nfirst:  %s\nsecond: %s", i, canon[i], c2)
 			}
+		}
+	})
+}
+
+// FuzzDecodeTrace fuzzes the trace decoder cmd/placetrace reads its
+// input with: arbitrary bytes must never panic, and a trace that
+// decodes (and so validates) must re-encode to bytes that decode
+// again and encode identically — the wire spelling is a fixed point.
+// The service's golden tempered trace and crash-led trace seed it,
+// bare and wrapped in a result.
+func FuzzDecodeTrace(f *testing.F) {
+	for _, name := range []string{"trace_tempered_trace.json", "trace_crash.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "service", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add([]byte(`{"version":1,"method":"seqpair","trace":` + string(data) + `}`))
+	}
+	for _, s := range []string{
+		``,
+		`{}`,
+		`null`,
+		`{"version":1,"method":"seqpair","capacity":4,"events":[]}`,
+		`{"version":1,"method":"seqpair","capacity":4,"events":[{"kind":"exchange","worker":0,"stage":1,"peer":0}]}`,
+		`{"version":1,"method":"","capacity":0,"events":[{"kind":"failpoint","worker":-1,"stage":-1,"point":"solve/slow"}]}`,
+		`{"events":[{"kind":"stage","worker":0,"stage":1,"moves":2,"accepted":1,"kind_proposed":[],"kind_accepted":[]}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data) // must not panic, ever
+		if err != nil {
+			return
+		}
+		b1, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatalf("decoded trace fails to encode: %v\ninput: %q", err, data)
+		}
+		tr2, err := DecodeTrace(b1)
+		if err != nil {
+			t.Fatalf("re-encoded trace fails to decode: %v\nencoding: %s", err, b1)
+		}
+		b2, err := json.Marshal(tr2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("trace encoding not a fixed point:\nfirst:  %s\nsecond: %s", b1, b2)
+		}
+		// Empty kind counters encode as absent and decode as nil; that
+		// is the only spelling difference a round trip may introduce.
+		for i, e := range tr.Events {
+			if len(e.KindProposed) == 0 {
+				tr.Events[i].KindProposed, tr.Events[i].KindAccepted = nil, nil
+			}
+		}
+		if !reflect.DeepEqual(tr, tr2) {
+			t.Fatalf("trace changed in a round trip:\nbefore: %+v\nafter:  %+v", tr, tr2)
 		}
 	})
 }

@@ -1,14 +1,16 @@
 package wire
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
 	"repro/placer"
 )
 
-// Trace event kinds on the wire. They mirror the placer trace's
-// spellings; TraceEvent documents which fields each kind populates.
+// Trace event kinds on the wire. They are the flight recorder's
+// spellings; placer.TraceEvent documents which fields each kind
+// populates.
 const (
 	TraceKindStage      = "stage"
 	TraceKindExchange   = "exchange"
@@ -17,114 +19,40 @@ const (
 	TraceKindFailpoint  = "failpoint"
 )
 
-// TraceEvent is one flight-recorder record on the wire.
-//
-//   - "stage": one completed temperature stage of chain `worker`:
-//     temperature after cooling, best/current cost, cumulative move
-//     counters, and (when the adaptive move portfolio ran) cumulative
-//     per-move-kind proposal/acceptance counters.
-//   - "exchange": one replica-exchange attempt between tempering rungs
-//     `worker` and `peer` with the pre-swap decision inputs and the
-//     Metropolis outcome in `accept`.
-//   - "checkpoint": a best-so-far snapshot capture; worker -1 is the
-//     tempering coordinator capturing the ladder-wide best.
-//   - "resume": the run warm-started from a checkpoint.
-//   - "failpoint": an injected fault (chaos testing) named by `point`;
-//     worker/stage are -1 for faults hit outside any chain.
-type TraceEvent struct {
-	Kind     string  `json:"kind"`
-	Worker   int     `json:"worker"`
-	Stage    int     `json:"stage"`
-	Temp     float64 `json:"temp,omitempty"`
-	Best     float64 `json:"best,omitempty"`
-	Cur      float64 `json:"cur,omitempty"`
-	Moves    int64   `json:"moves,omitempty"`
-	Accepted int64   `json:"accepted,omitempty"`
-	Improved int64   `json:"improved,omitempty"`
-
-	// Exchange fields. Peer is always > worker ≥ 0 on exchange events,
-	// so omitempty never hides it.
-	Peer     int     `json:"peer,omitempty"`
-	PeerTemp float64 `json:"peer_temp,omitempty"`
-	PeerCost float64 `json:"peer_cost,omitempty"`
-	Accept   bool    `json:"accept,omitempty"`
-
-	KindProposed []int64 `json:"kind_proposed,omitempty"`
-	KindAccepted []int64 `json:"kind_accepted,omitempty"`
-
-	Point string `json:"point,omitempty"`
-}
-
-// Trace is a solve's flight recording on the wire: versioned JSON,
-// served by GET /v1/jobs/{id}/trace and attached to Result.Trace.
-// For a deterministic (fixed-seed, fault-free) solve the canonical
-// encoding is itself deterministic byte for byte, provided the
-// recording dropped no events.
+// Trace is a solve's flight recording on the wire: the public
+// placer.Trace framed with the format version, served by GET
+// /v1/jobs/{id}/trace and attached to Result.Trace. The embedded
+// trace's fields encode flat beside "version", its Algorithm as
+// "method". For a deterministic (fixed-seed, fault-free) solve the
+// canonical encoding is itself deterministic byte for byte, provided
+// the recording dropped no events.
 type Trace struct {
-	Version int    `json:"version"`
-	Method  string `json:"method"`
-	// Capacity is the recorder ring size the solve ran with; Dropped
-	// counts events lost to overwriting after the ring filled (the
-	// newest events are the ones kept).
-	Capacity int          `json:"capacity"`
-	Dropped  uint64       `json:"dropped,omitempty"`
-	Events   []TraceEvent `json:"events"`
+	Version int `json:"version"`
+	placer.Trace
 }
 
-// traceFloat makes a recorded float JSON-encodable: JSON has no
-// IEEE-754 specials, and a trace may legitimately contain +Inf costs
-// (infeasible early states are priced at +Inf). Non-finite values
-// clamp to ±MaxFloat64; NaN (never produced by the engines) becomes 0.
-func traceFloat(v float64) float64 {
-	switch {
-	case math.IsNaN(v):
-		return 0
-	case math.IsInf(v, 1):
-		return math.MaxFloat64
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
+// DecodeTrace decodes and validates a flight recording: either a bare
+// Trace — what GET /v1/jobs/{id}/trace serves and `analogplace
+// -trace-out` writes — or a Result whose trace field carries one, so
+// daemon job bodies pipe straight in. Unlike the request decoders it
+// tolerates unknown fields: a trace is read to be inspected, never
+// solved.
+func DecodeTrace(data []byte) (*Trace, error) {
+	var tr Trace
+	if err := json.Unmarshal(data, &tr); err != nil {
+		return nil, fmt.Errorf("not trace JSON: %w", err)
 	}
-	return v
-}
-
-// TraceFromPlacer converts a placer trace into its wire form.
-func TraceFromPlacer(tr *placer.Trace) *Trace {
-	if tr == nil {
-		return nil
-	}
-	out := &Trace{
-		Version:  Version,
-		Method:   tr.Algorithm,
-		Capacity: tr.Capacity,
-		Dropped:  tr.Dropped,
-		Events:   make([]TraceEvent, 0, len(tr.Events)),
-	}
-	for _, e := range tr.Events {
-		we := TraceEvent{
-			Kind:     e.Kind,
-			Worker:   e.Worker,
-			Stage:    e.Stage,
-			Temp:     traceFloat(e.Temp),
-			Best:     traceFloat(e.Best),
-			Cur:      traceFloat(e.Cur),
-			Moves:    e.Moves,
-			Accepted: e.Accepted,
-			Improved: e.Improved,
-			PeerTemp: traceFloat(e.PeerTemp),
-			PeerCost: traceFloat(e.PeerCost),
-			Accept:   e.Accept,
-			Point:    e.Point,
+	if len(tr.Events) == 0 {
+		var res Result
+		if err := json.Unmarshal(data, &res); err != nil || res.Trace == nil || len(res.Trace.Events) == 0 {
+			return nil, fmt.Errorf("input carries no trace events (was the solve run with tracing enabled?)")
 		}
-		if e.Kind == "exchange" {
-			we.Peer = e.Peer
-		}
-		if len(e.KindProposed) > 0 {
-			we.KindProposed = append([]int64(nil), e.KindProposed...)
-			we.KindAccepted = append([]int64(nil), e.KindAccepted...)
-		}
-		out.Events = append(out.Events, we)
+		tr = *res.Trace
 	}
-	return out
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return &tr, nil
 }
 
 // traceKinds is the closed set of event kinds this wire version
@@ -145,8 +73,8 @@ func (t *Trace) Validate() error {
 	if t.Version != 0 && t.Version != Version {
 		return fmt.Errorf("wire: unsupported trace version %d (this build speaks %d)", t.Version, Version)
 	}
-	if t.Method != "" && !KnownMethod(t.Method) {
-		return fmt.Errorf("wire: trace method %q unknown", t.Method)
+	if t.Algorithm != "" && !KnownMethod(t.Algorithm) {
+		return fmt.Errorf("wire: trace method %q unknown", t.Algorithm)
 	}
 	if t.Capacity < 0 {
 		return fmt.Errorf("wire: negative trace capacity %d", t.Capacity)

@@ -9,16 +9,16 @@ import (
 )
 
 func validTrace() *Trace {
-	return &Trace{
-		Version: Version, Method: "seqpair", Capacity: 2048,
-		Events: []TraceEvent{
+	return &Trace{Version: Version, Trace: placer.Trace{
+		Algorithm: "seqpair", Capacity: 2048,
+		Events: []placer.TraceEvent{
 			{Kind: TraceKindResume, Worker: 0, Cur: 10, Best: 10},
 			{Kind: TraceKindStage, Worker: 0, Stage: 1, Temp: 5, Best: 9, Cur: 9.5, Moves: 40, Accepted: 20, Improved: 5},
 			{Kind: TraceKindExchange, Worker: 0, Stage: 2, Temp: 5, Cur: 9, Peer: 1, PeerTemp: 17.5, PeerCost: 11, Accept: true},
 			{Kind: TraceKindCheckpoint, Worker: -1, Stage: 2, Best: 9},
 			{Kind: TraceKindFailpoint, Worker: -1, Stage: -1, Point: "solve/slow"},
 		},
-	}
+	}}
 }
 
 func TestTraceValidateAccepts(t *testing.T) {
@@ -34,7 +34,7 @@ func TestTraceValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"bad version", func(tr *Trace) { tr.Version = Version + 1 }, "version"},
-		{"unknown method", func(tr *Trace) { tr.Method = "simplex" }, "method"},
+		{"unknown method", func(tr *Trace) { tr.Algorithm = "simplex" }, "method"},
 		{"negative capacity", func(tr *Trace) { tr.Capacity = -1 }, "capacity"},
 		{"unknown kind", func(tr *Trace) { tr.Events[0].Kind = "teleport" }, "kind"},
 		{"worker below -1", func(tr *Trace) { tr.Events[1].Worker = -2 }, "below -1"},
@@ -58,31 +58,5 @@ func TestTraceValidateRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestTraceFromPlacerSanitizes: +Inf costs (infeasible early states)
-// must clamp to JSON-encodable values the validator then accepts, and
-// non-exchange events must not leak their Peer -1 sentinel.
-func TestTraceFromPlacerSanitizes(t *testing.T) {
-	tr := TraceFromPlacer(&placer.Trace{
-		Algorithm: "seqpair",
-		Capacity:  16,
-		Events: []placer.TraceEvent{
-			{Kind: "stage", Worker: 0, Stage: 1, Temp: 2, Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Peer: -1},
-		},
-	})
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("sanitized trace rejected: %v", err)
-	}
-	e := tr.Events[0]
-	if e.Best != math.MaxFloat64 || e.Cur != math.MaxFloat64 {
-		t.Fatalf("+Inf not clamped: %+v", e)
-	}
-	if e.Peer != 0 {
-		t.Fatalf("non-exchange event leaked peer %d", e.Peer)
-	}
-	if TraceFromPlacer(nil) != nil {
-		t.Fatal("nil placer trace must convert to nil")
 	}
 }

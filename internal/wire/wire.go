@@ -3,7 +3,8 @@
 // placement instance (modules, symmetry groups, nets, proximity
 // groups, objective weights, and an optional design hierarchy for the
 // hierarchical placer), Options describe how to solve it, and a
-// Request bundles the two. Result carries a solved placement back.
+// Request bundles the two. Result carries a solved placement back,
+// and Trace a solve's flight recording.
 //
 // A wire Problem is the public placer.Problem itself, embedded behind
 // a format version: the placer types' JSON tags are the wire
@@ -11,7 +12,11 @@
 // package's, so the wire format and the public API can never disagree
 // about what a well-formed problem is. Code holding a wire problem
 // passes &p.Problem to placer.Solve; FromCanon frames a placer
-// problem for the wire.
+// problem for the wire. Results and traces reuse the placer's types
+// the same way: a result's placement is []placer.Placed, and a wire
+// Trace is a placer.Trace behind the format version, so the trace a
+// solve returns, the one the daemon serves and the events it streams
+// share one spelling.
 //
 // The format is strict and canonical. Decoding rejects unknown
 // fields, trailing data and semantically invalid problems; decoded
@@ -110,15 +115,6 @@ type Request struct {
 	Options Options `json:"options"`
 }
 
-// Placed is one module of a solved placement.
-type Placed struct {
-	Name string `json:"name"`
-	X    int    `json:"x"`
-	Y    int    `json:"y"`
-	W    int    `json:"w"`
-	H    int    `json:"h"`
-}
-
 // Breakdown decomposes a result's cost per objective term: each field
 // is that term's weighted contribution (weight × value), so the
 // populated fields sum to Result.Cost exactly. Overlap is the
@@ -136,21 +132,21 @@ type Breakdown struct {
 
 // Result is a solved placement on the wire.
 type Result struct {
-	Version    int        `json:"version"`
-	Name       string     `json:"name,omitempty"`
-	Method     string     `json:"method"`
-	Cost       float64    `json:"cost"`
-	Breakdown  *Breakdown `json:"breakdown,omitempty"`
-	BBoxW      int        `json:"bbox_w"`
-	BBoxH      int        `json:"bbox_h"`
-	AreaUsage  float64    `json:"area_usage"`
-	Legal      bool       `json:"legal"`
-	Violations []string   `json:"violations,omitempty"`
-	Cancelled  bool       `json:"cancelled,omitempty"`
-	Stages     int        `json:"stages"`
-	Moves      int        `json:"moves"`
-	RuntimeMS  int64      `json:"runtime_ms"`
-	Placement  []Placed   `json:"placement"`
+	Version    int             `json:"version"`
+	Name       string          `json:"name,omitempty"`
+	Method     string          `json:"method"`
+	Cost       float64         `json:"cost"`
+	Breakdown  *Breakdown      `json:"breakdown,omitempty"`
+	BBoxW      int             `json:"bbox_w"`
+	BBoxH      int             `json:"bbox_h"`
+	AreaUsage  float64         `json:"area_usage"`
+	Legal      bool            `json:"legal"`
+	Violations []string        `json:"violations,omitempty"`
+	Cancelled  bool            `json:"cancelled,omitempty"`
+	Stages     int             `json:"stages"`
+	Moves      int             `json:"moves"`
+	RuntimeMS  int64           `json:"runtime_ms"`
+	Placement  []placer.Placed `json:"placement"`
 	// Trace is the solve's flight recording (see Trace), present only
 	// when the solve ran with tracing enabled.
 	Trace *Trace `json:"trace,omitempty"`

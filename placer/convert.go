@@ -12,10 +12,9 @@ import (
 
 // flat converts the problem into the placement problem the flat
 // engines (sequence-pair, B*-tree, TCG, slicing, absolute) consume.
+// The problem must already be valid (Solve validates it once before
+// any engine runs); only the place-level checks run here.
 func (p *Problem) flat() (*place.Problem, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	n := len(p.Modules)
 	pp := &place.Problem{
 		Names:         make([]string, n),
@@ -154,11 +153,9 @@ func fromConstraintNode(n *constraint.Node) *Node {
 // constraints — a symmetry node per symmetry group, a proximity node
 // per proximity group, everything else directly at the root — so any
 // problem can be solved hierarchically. Modules the hierarchy does
-// not mention are attached to the root.
+// not mention are attached to the root. Like flat, it expects a
+// problem Solve has already validated.
 func (p *Problem) bench() (*circuits.Bench, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	name := p.Name
 	if name == "" {
 		name = "wire"

@@ -190,11 +190,14 @@ func (o EngineOptions) annealOptions(ctx context.Context, algorithm string) anne
 	return aopt
 }
 
-// Placed is one module of a solved placement.
+// Placed is one module of a solved placement. Its JSON tags are the
+// wire result's spelling.
 type Placed struct {
-	Name string
-	X, Y int
-	W, H int
+	Name string `json:"name"`
+	X    int    `json:"x"`
+	Y    int    `json:"y"`
+	W    int    `json:"w"`
+	H    int    `json:"h"`
 }
 
 // TermCost is one objective term's share of a result's cost:

@@ -1,6 +1,10 @@
 package placer
 
-import "repro/internal/obs"
+import (
+	"math"
+
+	"repro/internal/obs"
+)
 
 // Trace is a solve's flight recording: the per-stage annealing
 // telemetry WithTrace asked the engines to capture. It is attached to
@@ -8,17 +12,19 @@ import "repro/internal/obs"
 // recording. Recording never perturbs the search — a solve with
 // tracing on places bit-identically to one without — and events carry
 // no wall-clock, so for a fixed seed the trace itself is deterministic
-// byte for byte (as long as no events were dropped).
+// byte for byte (as long as no events were dropped). The JSON tags
+// are the wire spelling: the wire trace is this type behind a format
+// version.
 type Trace struct {
 	// Algorithm whose run was recorded.
-	Algorithm string
+	Algorithm string `json:"method"`
 	// Capacity is the recorder's ring size; Dropped counts events that
 	// were overwritten after the ring filled. A trace with Dropped > 0
 	// kept the newest events.
-	Capacity int
-	Dropped  uint64
+	Capacity int    `json:"capacity"`
+	Dropped  uint64 `json:"dropped,omitempty"`
 	// Events in canonical order: by stage, then kind, then worker.
-	Events []TraceEvent
+	Events []TraceEvent `json:"events"`
 }
 
 // TraceEvent is one flight-recorder record. Kind selects which fields
@@ -35,28 +41,85 @@ type Trace struct {
 //   - "checkpoint": a best-so-far snapshot capture at Best; Worker -1
 //     means the tempering ladder's coordinator (ladder-wide best).
 //   - "resume": the run warm-started from a checkpoint costing Cur.
-//   - "failpoint": an injected fault (chaos testing) named by Point,
-//     observed on the solve path before or during the run.
+//   - "failpoint": an injected fault (chaos testing) named by Point;
+//     Worker and Stage are -1 for faults hit outside any chain.
+//
+// Recorded floats are always finite (see TraceEventFromObs), so every
+// recorded event encodes as JSON.
 type TraceEvent struct {
-	Kind     string
-	Worker   int
-	Stage    int
-	Temp     float64
-	Best     float64
-	Cur      float64
-	Moves    int64
-	Accepted int64
-	Improved int64
+	Kind     string  `json:"kind"`
+	Worker   int     `json:"worker"`
+	Stage    int     `json:"stage"`
+	Temp     float64 `json:"temp,omitempty"`
+	Best     float64 `json:"best,omitempty"`
+	Cur      float64 `json:"cur,omitempty"`
+	Moves    int64   `json:"moves,omitempty"`
+	Accepted int64   `json:"accepted,omitempty"`
+	Improved int64   `json:"improved,omitempty"`
 
-	Peer     int
-	PeerTemp float64
-	PeerCost float64
-	Accept   bool
+	// Exchange fields. Peer is set only on exchange events, where it
+	// is always > Worker ≥ 0, so omitempty never hides it.
+	Peer     int     `json:"peer,omitempty"`
+	PeerTemp float64 `json:"peer_temp,omitempty"`
+	PeerCost float64 `json:"peer_cost,omitempty"`
+	Accept   bool    `json:"accept,omitempty"`
 
-	KindProposed []int64
-	KindAccepted []int64
+	KindProposed []int64 `json:"kind_proposed,omitempty"`
+	KindAccepted []int64 `json:"kind_accepted,omitempty"`
 
-	Point string
+	Point string `json:"point,omitempty"`
+}
+
+// TraceEventFromObs converts one flight-recorder record into a trace
+// event. It is the only such conversion: completed traces and the
+// service's live event stream both go through it, so a client decodes
+// either with one type. JSON has no IEEE-754 specials and a recording
+// may legitimately hold +Inf costs (infeasible early states are
+// priced at +Inf), so ±Inf clamps to ±MaxFloat64 and NaN (never
+// produced by the engines) becomes 0. Peer is carried only on
+// exchange events.
+func TraceEventFromObs(e obs.Event) TraceEvent {
+	te := TraceEvent{
+		Kind:     e.Kind.String(),
+		Worker:   int(e.Worker),
+		Stage:    int(e.Stage),
+		Temp:     finite(e.Temp),
+		Best:     finite(e.Best),
+		Cur:      finite(e.Cur),
+		Moves:    e.Moves,
+		Accepted: e.Accepted,
+		Improved: e.Improved,
+		PeerTemp: finite(e.PeerTemp),
+		PeerCost: finite(e.PeerCost),
+		Accept:   e.Accept,
+		Point:    e.Point,
+	}
+	if e.Kind == obs.EventExchange {
+		te.Peer = int(e.Peer)
+	}
+	if n := int(e.NKinds); n > 0 {
+		te.KindProposed = make([]int64, n)
+		te.KindAccepted = make([]int64, n)
+		for i := 0; i < n; i++ {
+			te.KindProposed[i] = int64(e.KindProposed[i])
+			te.KindAccepted[i] = int64(e.KindAccepted[i])
+		}
+	}
+	return te
+}
+
+// finite clamps IEEE-754 specials for JSON: ±Inf to ±MaxFloat64, NaN
+// to 0.
+func finite(v float64) float64 {
+	switch {
+	case math.IsNaN(v):
+		return 0
+	case math.IsInf(v, 1):
+		return math.MaxFloat64
+	case math.IsInf(v, -1):
+		return -math.MaxFloat64
+	}
+	return v
 }
 
 // traceFromFlight converts a recorder's canonical snapshot into the
@@ -70,34 +133,10 @@ func traceFromFlight(algorithm string, f *obs.Flight) *Trace {
 		Algorithm: algorithm,
 		Capacity:  f.Capacity(),
 		Dropped:   f.Dropped(),
-		Events:    make([]TraceEvent, 0, len(events)),
+		Events:    make([]TraceEvent, len(events)),
 	}
-	for _, e := range events {
-		te := TraceEvent{
-			Kind:     e.Kind.String(),
-			Worker:   int(e.Worker),
-			Stage:    int(e.Stage),
-			Temp:     e.Temp,
-			Best:     e.Best,
-			Cur:      e.Cur,
-			Moves:    e.Moves,
-			Accepted: e.Accepted,
-			Improved: e.Improved,
-			Peer:     int(e.Peer),
-			PeerTemp: e.PeerTemp,
-			PeerCost: e.PeerCost,
-			Accept:   e.Accept,
-			Point:    e.Point,
-		}
-		if n := int(e.NKinds); n > 0 {
-			te.KindProposed = make([]int64, n)
-			te.KindAccepted = make([]int64, n)
-			for i := 0; i < n; i++ {
-				te.KindProposed[i] = int64(e.KindProposed[i])
-				te.KindAccepted[i] = int64(e.KindAccepted[i])
-			}
-		}
-		tr.Events = append(tr.Events, te)
+	for i, e := range events {
+		tr.Events[i] = TraceEventFromObs(e)
 	}
 	return tr
 }

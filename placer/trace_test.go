@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -80,7 +81,7 @@ func TestTraceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(wire.TraceFromPlacer(res.Trace))
+		b, err := json.Marshal(res.Trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +90,48 @@ func TestTraceDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("fixed-seed traces differ:\n%s\n%s", a, b)
+	}
+}
+
+// TestTraceEventFromObsSanitizes: the one recorder-to-trace conversion
+// clamps ±Inf costs (infeasible early states are priced at +Inf) and
+// NaN to JSON-encodable values the wire validator then accepts, copies
+// the per-kind counters, and carries Peer only on exchange events —
+// the recorder's -1 sentinel never leaks into the trace.
+func TestTraceEventFromObsSanitizes(t *testing.T) {
+	stage := obs.Event{
+		Kind: obs.EventStage, Worker: 0, Stage: 1, Temp: math.NaN(),
+		Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Accepted: 2, Peer: -1,
+		PeerCost: math.Inf(-1), NKinds: 2,
+	}
+	stage.KindProposed[0], stage.KindProposed[1] = 2, 1
+	stage.KindAccepted[0], stage.KindAccepted[1] = 1, 1
+	exchange := obs.Event{
+		Kind: obs.EventExchange, Worker: 0, Stage: 2, Temp: 1, Cur: math.Inf(1),
+		Peer: 1, PeerTemp: 2, PeerCost: 5, Accept: true,
+	}
+	tr := &wire.Trace{Version: wire.Version, Trace: placer.Trace{Algorithm: "seqpair", Capacity: 16}}
+	for _, e := range []obs.Event{stage, exchange} {
+		tr.Events = append(tr.Events, placer.TraceEventFromObs(e))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("sanitized trace rejected: %v", err)
+	}
+	if _, err := json.Marshal(tr); err != nil {
+		t.Fatalf("sanitized trace does not encode: %v", err)
+	}
+	s, x := tr.Events[0], tr.Events[1]
+	if s.Best != math.MaxFloat64 || s.Cur != math.MaxFloat64 || s.PeerCost != -math.MaxFloat64 || s.Temp != 0 {
+		t.Fatalf("specials not clamped: %+v", s)
+	}
+	if s.Peer != 0 {
+		t.Fatalf("non-exchange event leaked peer %d", s.Peer)
+	}
+	if len(s.KindProposed) != 2 || s.KindProposed[0] != 2 || s.KindAccepted[1] != 1 {
+		t.Fatalf("kind counters not copied: %+v", s)
+	}
+	if x.Peer != 1 || !x.Accept || x.Cur != math.MaxFloat64 || x.PeerTemp != 2 {
+		t.Fatalf("exchange event mangled: %+v", x)
 	}
 }
 
